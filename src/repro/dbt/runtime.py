@@ -21,6 +21,8 @@ reproduce the paper's "about 12%" native->DBT baseline slowdown.
 
 from __future__ import annotations
 
+import bisect
+import weakref
 from dataclasses import dataclass
 
 from repro import obs
@@ -30,7 +32,8 @@ from repro.isa.opcodes import Op
 from repro.isa.program import Program
 from repro.machine.cpu import Cpu
 from repro.machine.faults import FaultKind, StopInfo, StopReason
-from repro.machine.memory import PERM_R, PERM_RW
+from repro.machine.memory import PAGE_SHIFT, PAGE_SIZE, PERM_R, PERM_RW
+from repro.cfg import build_cfg, find_leaders
 from repro.cfg.basic_block import BasicBlock
 from repro.checking.base import Technique
 from repro.checking.policies import Policy
@@ -43,6 +46,65 @@ from repro.dbt.translator import (DF_ERROR_TRAP, ERROR_TRAP, INJECT_TRAP,
 DISPATCH_CYCLES = 40
 #: Cycles charged per indirect-branch resolution (inline lookup hit).
 INDIRECT_DISPATCH_CYCLES = 6
+
+#: id(program) -> [sorted static leaders, static CFG], each None until
+#: first needed (see :func:`_static_view`)
+_static_views: dict[int, list] = {}
+
+
+def _static_view(program: Program) -> list:
+    """The per-program slot holding its static leaders and CFG.
+
+    Both are pure functions of the program image, never of guest
+    memory, so every session of a program shares one computation, and
+    an SMC flush has no reason to drop it.
+    """
+    key = id(program)
+    view = _static_views.get(key)
+    if view is None:
+        view = _static_views[key] = [None, None]
+        weakref.finalize(program, _static_views.pop, key, None)
+    return view
+
+
+@dataclass(frozen=True)
+class DbtSnapshot:
+    """Everything a fresh session of the same program and configuration
+    needs to continue exactly where the captured session stood
+    (:meth:`Dbt.capture`, :meth:`Dbt.restore`)."""
+
+    #: CPU state: (regs, flags, pc, cycles, icount, exit_code, cfc_error)
+    cpu: tuple
+    output: tuple
+    output_values: tuple
+    #: page index -> contents, for every page that may differ from the
+    #: loaded image (guest data, stack, shadow file, code cache)
+    pages: dict
+    perms: bytes
+    blocks: dict
+    suffixes: dict
+    #: copies of the exit slots, so later chaining in the captured
+    #: session does not leak into the snapshot
+    slots: tuple
+    addr_map: dict
+    check_sites: frozenset
+    protected_pages: frozenset
+    dirty_pages: frozenset
+    flushes: int
+    smc_flushes: int
+    entry_stub: int | None
+    next_slot: int
+    cache_cursor: int
+
+    @property
+    def icount(self) -> int:
+        return self.cpu[4]
+
+
+def _copy_slot(slot: ExitSlot) -> ExitSlot:
+    return ExitSlot(slot.slot_id, slot.kind, slot.trap_addr,
+                    slot.guest_target, slot.block_start, slot.patched,
+                    slot.cond_site)
 
 
 @dataclass
@@ -109,6 +171,9 @@ class Dbt:
         self.smc_flushes = 0
         #: all cache flushes (SMC + cache-full evictions)
         self.flushes = 0
+        #: where the entry stub was emitted; set once the session has
+        #: started and kept across flushes, so a later ``_run`` call
+        #: continues the run instead of restarting it
         self._entry_stub: int | None = None
         self._protected_pages: set[int] = set()
         self._dirty_pages: set[int] = set()
@@ -116,8 +181,7 @@ class Dbt:
         self.inject_redirect = None      # callable () -> guest addr
         #: (owner, resume) -> suffix TranslatedBlock
         self._suffixes: dict[tuple[int, int], TranslatedBlock] = {}
-        self._static_cfg = None
-        self._static_leaders: list[int] | None = None
+        self._static = _static_view(program)
         #: cache addresses of emitted CHECK_SIG branches; shared with
         #: the CPU so the observability branch counter can report
         #: signature checks executed (mutated in place on translate /
@@ -128,12 +192,11 @@ class Dbt:
 
     @property
     def static_cfg(self):
-        """Static CFG of the guest program (lazy; used to attribute
-        mid-block landings to their owning block)."""
-        if self._static_cfg is None:
-            from repro.cfg import build_cfg
-            self._static_cfg = build_cfg(self.program)
-        return self._static_cfg
+        """Static CFG of the guest program (lazy, once per program; used
+        to attribute mid-block landings to their owning block)."""
+        if self._static[1] is None:
+            self._static[1] = build_cfg(self.program)
+        return self._static[1]
 
     # -- translation management ---------------------------------------------
 
@@ -207,14 +270,13 @@ class Dbt:
         congruent with the paper's basic-block model, so the branch
         -error categories mean the same thing in both worlds.
         """
-        if self._static_leaders is None:
-            from repro.cfg import find_leaders
-            self._static_leaders = sorted(find_leaders(self.program))
+        leaders = self._static[0]
+        if leaders is None:
+            leaders = self._static[0] = sorted(find_leaders(self.program))
         candidates = [start for start in self.blocks if start > addr]
-        import bisect
-        index = bisect.bisect_right(self._static_leaders, addr)
-        if index < len(self._static_leaders):
-            candidates.append(self._static_leaders[index])
+        index = bisect.bisect_right(leaders, addr)
+        if index < len(leaders):
+            candidates.append(leaders[index])
         return min(candidates) if candidates else None
 
     def _protect_guest_pages(self, block: BasicBlock) -> None:
@@ -250,6 +312,74 @@ class Dbt:
             for guest_addr, cache_addr in tb.addr_map.items():
                 reverse[cache_addr] = guest_addr
         return reverse
+
+    # -- snapshots ------------------------------------------------------------
+
+    def capture(self, pages: dict) -> DbtSnapshot:
+        """Snapshot this session between two runs of the dispatch loop.
+
+        ``pages`` maps every page written since the program was loaded
+        to its current contents; the session does not track writes
+        itself (the caller does, e.g. through ``memory.cow``).
+        """
+        cpu = self.cpu
+        return DbtSnapshot(
+            cpu=(tuple(cpu.regs), cpu.flags, cpu.pc, cpu.cycles,
+                 cpu.icount, cpu.exit_code, cpu.cfc_error),
+            output=tuple(cpu.output),
+            output_values=tuple(cpu.output_values),
+            pages=pages, perms=bytes(cpu.memory.perms),
+            blocks=dict(self.blocks), suffixes=dict(self._suffixes),
+            slots=tuple(_copy_slot(slot) for slot in self.slots.values()),
+            addr_map=dict(self.addr_map),
+            check_sites=frozenset(self._check_sites),
+            protected_pages=frozenset(self._protected_pages),
+            dirty_pages=frozenset(self._dirty_pages),
+            flushes=self.flushes, smc_flushes=self.smc_flushes,
+            entry_stub=self._entry_stub,
+            next_slot=self.translator._next_slot,
+            cache_cursor=self.cache.cursor)
+
+    def restore(self, snap: DbtSnapshot) -> None:
+        """Continue from ``snap`` in this freshly constructed session
+        (same program, technique, policy and data-flow setting)."""
+        cpu = self.cpu
+        memory = cpu.memory
+        data = memory.data
+        for page, contents in snap.pages.items():
+            base = page << PAGE_SHIFT
+            data[base:base + PAGE_SIZE] = contents
+        memory.perms[:] = snap.perms
+        (regs, cpu.flags, cpu.pc, cpu.cycles, cpu.icount, cpu.exit_code,
+         cpu.cfc_error) = snap.cpu
+        cpu.regs[:] = regs
+        cpu.output[:] = snap.output
+        cpu.output_values[:] = snap.output_values
+        cpu._dcache.clear()
+        self.blocks = dict(snap.blocks)
+        self._suffixes = dict(snap.suffixes)
+        self.slots = {slot.slot_id: _copy_slot(slot) for slot in snap.slots}
+        self.addr_map = dict(snap.addr_map)
+        # (the CPU's observability counter holds this very set)
+        self._check_sites.clear()
+        self._check_sites.update(snap.check_sites)
+        self._protected_pages = set(snap.protected_pages)
+        self._dirty_pages = set(snap.dirty_pages)
+        self.flushes = snap.flushes
+        self.smc_flushes = snap.smc_flushes
+        self._entry_stub = snap.entry_stub
+        self.translator._next_slot = snap.next_slot
+        self.cache.cursor = snap.cache_cursor
+
+    def close(self) -> None:
+        """Free the guest memory of a finished session.
+
+        The CPU, its backend and the watchers reference each other, so
+        only the cycle collector reclaims a session, and short fault
+        runs end faster than it comes round: without this, dead
+        sessions' memory images pile up.
+        """
+        self.cpu.memory.data.clear()
 
     # -- chaining -----------------------------------------------------------
 
@@ -304,9 +434,6 @@ class Dbt:
         self.addr_map.clear()
         self._check_sites.clear()
         self._suffixes.clear()
-        self._static_cfg = None   # guest code may have changed
-        self._static_leaders = None
-        self._entry_stub = None
         self.flushes += 1
         self.cpu._dcache.clear()
 

@@ -51,9 +51,11 @@ from repro.instrument import InstrumentedProgram, StaticRewriter
 from repro.machine.profile import BranchProfiler
 from repro.faults.classify import Category
 from repro.faults import cache as run_cache
+from repro.faults.timeline import GoldenTimeline
 from repro.faults.injector import (CacheFaultSpec, CacheLevelInjector,
                                    DbtInjector, DirectionFault, FaultSpec,
-                                   NativeInjector, RedirectFault)
+                                   MAX_OCCURRENCE, NativeInjector,
+                                   RedirectFault, RegisterFaultSpec)
 
 
 class Outcome(enum.Enum):
@@ -169,6 +171,23 @@ class PipelineConfig:
         return label
 
 
+def dbt_session(program: Program, config: PipelineConfig,
+                technique=None) -> Dbt:
+    """A fresh DBT session laid out exactly as ``config``'s runs are:
+    cache addresses depend on the technique, policy and data-flow
+    setting."""
+    dbt = Dbt(program, technique=technique, policy=config.policy,
+              dataflow=config.dataflow)
+    _install_backend(dbt.cpu, config.backend)
+    return dbt
+
+
+def _install_backend(cpu: Cpu, backend: str) -> None:
+    if backend != "interp":
+        from repro.exec import install_backend
+        install_backend(cpu, backend)
+
+
 class Pipeline:
     """Runs a program (optionally fault-injected) per a configuration."""
 
@@ -186,6 +205,9 @@ class Pipeline:
                 "static pipeline (the DBT tier does not context-switch "
                 "translated state)")
         self._instrumented: InstrumentedProgram | None = None
+        #: golden replay for fast-forwarded DBT fault runs, built on
+        #: the first one and freed with the pipeline
+        self._timeline: GoldenTimeline | None = None
         self._mt_spawn_table: dict | None = None
         self._mt_resync: dict | None = None
         self._mt_sig_regs: tuple = ()
@@ -334,11 +356,6 @@ class Pipeline:
                          outputs=outputs, cycles=cpu.cycles,
                          icount=cpu.icount)
 
-    def _install_backend(self, cpu: Cpu) -> None:
-        if self.config.backend != "interp":
-            from repro.exec import install_backend
-            install_backend(cpu, self.config.backend)
-
     # -- multithreaded machine (repro.threads) -------------------------------
 
     def _prepare_mt(self, technique) -> None:
@@ -429,8 +446,7 @@ class Pipeline:
     def _attach_fault(self, cpu: Cpu, machine, fault):
         """Bind one fault spec to the run; returns the injector-ish
         object holding fired/occurrence state (or None)."""
-        from repro.faults.injector import (RegisterFaultSpec,
-                                           SchedFaultSpec, SchedInjector)
+        from repro.faults.injector import SchedFaultSpec, SchedInjector
         if isinstance(fault, SchedFaultSpec):
             if machine is None:
                 raise ValueError(
@@ -472,7 +488,7 @@ class Pipeline:
 
     def _run_native(self, fault, max_steps, probe=None) -> RunRecord:
         cpu = Cpu()
-        self._install_backend(cpu)
+        _install_backend(cpu, self.config.backend)
         cpu.load_program(self.program)
         machine = self._make_machine(cpu) if self.config.threads else None
         injector = self._attach_fault(cpu, machine, fault)
@@ -508,7 +524,7 @@ class Pipeline:
     def _run_static(self, fault, max_steps, probe=None) -> RunRecord:
         ip = self._instrumented
         cpu = Cpu()
-        self._install_backend(cpu)
+        _install_backend(cpu, self.config.backend)
         cpu.load_program(ip.program)
         machine = self._make_machine(cpu) if self.config.threads else None
         injector = self._attach_fault(cpu, machine, fault)
@@ -561,13 +577,46 @@ class Pipeline:
             return ip.block_map[guest_addr]
         return ip.instr_map.get(guest_addr)
 
+    def _dbt_session(self) -> Dbt:
+        return dbt_session(self.program, self.config,
+                           self._make_technique())
+
     def _run_dbt(self, fault, max_steps, probe=None) -> RunRecord:
-        from repro.faults.injector import RegisterFaultSpec
-        config = self.config
-        technique = self._make_technique()
-        dbt = Dbt(self.program, technique=technique, policy=config.policy,
-                  dataflow=config.dataflow)
-        self._install_backend(dbt.cpu)
+        if fault is not None and probe is None and not self.config.recover:
+            if self._timeline is None:
+                self._timeline = GoldenTimeline(self._dbt_session)
+            start = self._timeline.start_for(fault, max_steps)
+            if start is not None:
+                return self._run_dbt_forwarded(fault, max_steps, *start)
+        return self._run_dbt_from_entry(fault, max_steps, probe)
+
+    def _run_dbt_forwarded(self, fault, max_steps, mark,
+                           count) -> RunRecord:
+        """A fault run fast-forwarded along the golden timeline
+        (:mod:`repro.faults.timeline`): it starts from ``mark``, with
+        the injector installed there and ``count`` executions of its
+        site already counted.  The record equals the from-entry run's
+        field for field."""
+        dbt = self._dbt_session()
+        dbt.restore(mark.session)
+        injector = None
+        if isinstance(fault, RegisterFaultSpec):
+            fault.install(dbt.cpu)
+        elif isinstance(fault, CacheFaultSpec):
+            injector = CacheLevelInjector(fault, dbt)
+            injector.arm(count)
+        else:
+            injector = DbtInjector(fault, dbt)
+            injector.arm(count, mark.sites_of(fault.branch_pc),
+                         mark.known_translations)
+        result = dbt.run(max_steps=max_steps - mark.steps)
+        record = self._dbt_record(dbt, result, injector)
+        dbt.close()
+        return record
+
+    def _run_dbt_from_entry(self, fault, max_steps,
+                            probe=None) -> RunRecord:
+        dbt = self._dbt_session()
         injector = None
         if isinstance(fault, CacheFaultSpec):
             injector = CacheLevelInjector(fault, dbt)
@@ -579,10 +628,13 @@ class Pipeline:
             injector.install()
         if probe is not None:
             probe.bind(dbt.cpu, injector=injector, dbt=dbt)
-        if config.recover and fault is not None:
+        if self.config.recover and fault is not None:
             return self._run_dbt_recovered(dbt, fault, injector,
                                            max_steps, probe)
-        result = dbt.run(max_steps=max_steps)
+        return self._dbt_record(dbt, dbt.run(max_steps=max_steps),
+                                injector)
+
+    def _dbt_record(self, dbt, result, injector) -> RunRecord:
         detected = result.detected_error or result.detected_dataflow
         record = self._finish(dbt.cpu, result.stop, detected)
         if (detected and injector is not None
@@ -739,7 +791,7 @@ def generate_category_faults(program: Program, per_category: int = 20,
     blocks = [b for b in cfg.in_order()]
 
     def pick_occurrence(stats) -> int:
-        return rng.randint(1, min(stats.executions, 40))
+        return rng.randint(1, min(stats.executions, MAX_OCCURRENCE))
 
     result = CategoryFaults()
 
@@ -988,7 +1040,6 @@ def generate_register_faults(pipeline: Pipeline, count: int = 50,
     bit) — the paper's temporal soft-error model applied to data state
     instead of branch state.
     """
-    from repro.faults.injector import RegisterFaultSpec
     rng = random.Random(seed)
     horizon = max(pipeline.golden.icount - 2, 1)
     faults = []
@@ -1067,7 +1118,7 @@ def enumerate_instrumentation_branch_sites(program: Program,
     technique = (make_technique(config.technique,
                                 update_style=config.update_style)
                  if config.technique else None)
-    dbt = Dbt(program, technique=technique, policy=config.policy)
+    dbt = dbt_session(program, config, technique)
     result = dbt.run()
     if not result.ok:
         raise RuntimeError(f"warm run failed: {result.stop}")

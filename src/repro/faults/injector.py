@@ -70,6 +70,11 @@ class RedirectFault:
     target: int
 
 
+#: Highest dynamic occurrence the campaign generators target; the
+#: golden-run timeline records this many executions of each site.
+MAX_OCCURRENCE = 40
+
+
 @dataclass(frozen=True)
 class FaultSpec:
     """One injected fault: guest branch site + dynamic occurrence."""
@@ -267,6 +272,16 @@ class DbtInjector(_HookBase):
 
     def install(self) -> None:
         self.dbt.cpu.pre_branch_hook = self.hook
+
+    def arm(self, count: int, sites, known_translations: int) -> None:
+        """Install on a session restored mid-run (fast-forward): the
+        occurrence count and site bookkeeping are preset to the state a
+        from-entry injector would have reached there, as recorded by a
+        :class:`~repro.faults.timeline.GoldenTimeline`."""
+        self.count = count
+        self._sites = set(sites)
+        self._known_translations = known_translations
+        self.install()
 
     def _redirect(self) -> int:
         assert self._redirect_target is not None
@@ -500,6 +515,12 @@ class CacheLevelInjector:
 
     def install(self) -> None:
         self.dbt.cpu.pre_branch_hook = self.hook
+
+    def arm(self, count: int) -> None:
+        """Install on a session restored mid-run (fast-forward), with
+        ``count`` earlier executions of the site already counted."""
+        self.count = count
+        self.install()
 
     def hook(self, cpu: Cpu, pc: int, instr: Instruction
              ) -> Instruction | None:

@@ -70,6 +70,43 @@ class TestSelfModifyingCode:
         # the program still finished: blocks were retranslated
         assert result.translated_blocks > 0
 
+    def test_static_analysis_once_per_program(self, monkeypatch):
+        """Static leaders and CFG read the program image, not guest
+        memory: every session of a program shares one computation, and
+        an SMC flush keeps it."""
+        import repro.dbt.runtime as runtime
+        calls = []
+        for name in ("find_leaders", "build_cfg"):
+            original = getattr(runtime, name)
+
+            def counting(program, _original=original, _name=name):
+                calls.append(_name)
+                return _original(program)
+            monkeypatch.setattr(runtime, name, counting)
+        program = assemble(SMC_LOOP_SRC)
+        for _ in range(3):
+            dbt, result = run_dbt(program)
+            assert result.smc_flushes >= 1
+            dbt.static_cfg
+            assert dbt.cpu.output_values == [1, 99, 99]
+        assert sorted(calls) == ["build_cfg", "find_leaders"]
+
+    def test_run_resumed_after_a_flush_continues(self):
+        """A session driven in small budget slices (as checkpointing
+        and the golden-run timeline drive it) must not restart at the
+        entry after an SMC flush."""
+        from repro.dbt import Dbt
+        from repro.machine import StopReason
+        program = assemble(SMC_LOOP_SRC)
+        dbt = Dbt(program)
+        while True:
+            result = dbt._run(3, None)
+            if result.stop.reason is not StopReason.STEP_LIMIT:
+                break
+        assert result.ok
+        assert dbt.smc_flushes >= 1
+        assert dbt.cpu.output_values == [1, 99, 99]
+
 
 def run_native_with_writable_text(program):
     from repro.machine import Cpu
