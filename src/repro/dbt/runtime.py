@@ -472,6 +472,15 @@ class Dbt:
             end, Instruction(op=Op.JMP, imm=offset))
         return base
 
+    def enter(self, flush: bool = False) -> None:
+        """Start the run at the program entry, through a freshly emitted
+        entry stub.  ``flush`` first drops every translation: a restart
+        after a flush must not jump into dead cache code."""
+        if flush:
+            self._flush_translations()
+        self._entry_stub = self._emit_entry_stub()
+        self.cpu.pc = self._entry_stub
+
     def run(self, max_steps: int = 50_000_000,
             max_cycles: int | None = None) -> DbtResult:
         """Execute the guest program to completion under translation."""
@@ -484,8 +493,7 @@ class Dbt:
         cpu = self.cpu
         result = DbtResult(stop=StopInfo(StopReason.HALTED, 0))
         if self._entry_stub is None:
-            self._entry_stub = self._emit_entry_stub()
-            cpu.pc = self._entry_stub
+            self.enter()
 
         steps_left = max_steps
         while True:

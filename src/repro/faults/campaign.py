@@ -47,7 +47,7 @@ from repro.machine.faults import FaultKind
 from repro.cfg import build_cfg
 from repro.checking import Policy, UpdateStyle, make_technique
 from repro.dbt import Dbt
-from repro.instrument import InstrumentedProgram, StaticRewriter
+from repro.instrument import StaticRewriter
 from repro.machine.profile import BranchProfiler
 from repro.faults.classify import Category
 from repro.faults import cache as run_cache
@@ -55,7 +55,8 @@ from repro.faults.timeline import GoldenTimeline
 from repro.faults.injector import (CacheFaultSpec, CacheLevelInjector,
                                    DbtInjector, DirectionFault, FaultSpec,
                                    MAX_OCCURRENCE, NativeInjector,
-                                   RedirectFault, RegisterFaultSpec)
+                                   RedirectFault, RegisterFaultSpec,
+                                   SchedFaultSpec, SchedInjector)
 
 
 class Outcome(enum.Enum):
@@ -204,20 +205,12 @@ class Pipeline:
                 "the multithreaded machine requires the native or "
                 "static pipeline (the DBT tier does not context-switch "
                 "translated state)")
-        self._instrumented: InstrumentedProgram | None = None
         #: golden replay for fast-forwarded DBT fault runs, built on
         #: the first one and freed with the pipeline
         self._timeline: GoldenTimeline | None = None
-        self._mt_spawn_table: dict | None = None
-        self._mt_resync: dict | None = None
-        self._mt_sig_regs: tuple = ()
-        if config.pipeline == "static" and config.technique:
-            cfg = build_cfg(program)
-            technique = self._make_technique(cfg=cfg)
-            self._instrumented = StaticRewriter(
-                technique, config.policy).rewrite(program)
-            if config.threads:
-                self._prepare_mt(technique)
+        #: what every run of this pipeline executes on
+        self._target = (_DbtTarget(self) if config.pipeline == "dbt"
+                        else _CpuTarget(self))
         if technique_factory is not None:
             # Custom techniques must not seed (or read) the shared
             # golden-run cache keyed only on (program, config).
@@ -246,12 +239,8 @@ class Pipeline:
             return None
         if self.technique_factory is not None:
             return self.technique_factory(config, cfg)
-        if cfg is not None:
-            return make_technique(config.technique,
-                                  update_style=config.update_style,
-                                  cfg=cfg)
         return make_technique(config.technique,
-                              update_style=config.update_style)
+                              update_style=config.update_style, cfg=cfg)
 
     # -- execution -----------------------------------------------------------
 
@@ -275,12 +264,12 @@ class Pipeline:
         """
         registry = obs.get_registry()
         if registry is None:
-            return self._run(fault, max_steps, probe)
+            return self._execute(fault, max_steps, probe)
         with registry.histogram(
                 "campaign_run_seconds",
                 help="wall time of one pipeline run",
                 pipeline=self.config.pipeline).time():
-            record = self._run(fault, max_steps, probe)
+            record = self._execute(fault, max_steps, probe)
         registry.counter("campaign_runs_total",
                          help="pipeline runs by classified outcome",
                          outcome=record.outcome.value).inc()
@@ -319,20 +308,61 @@ class Pipeline:
                     policy=policy).observe(record.reexec_cycles)
         return record
 
-    def _run(self, fault: FaultSpec | CacheFaultSpec | None,
-             max_steps: int | None = None, probe=None) -> RunRecord:
+    def _execute(self, fault, max_steps: int | None = None, probe=None,
+                 fast_forward: bool = True) -> RunRecord:
+        """The one run path, for every pipeline, with and without
+        recovery, threads and probes.
+
+        A DBT fault run without recovery or probe starts at the last
+        golden-timeline mark before its fault fires
+        (:mod:`repro.faults.timeline`) and produces the from-entry
+        run's record field for field; ``fast_forward=False`` starts it
+        at the entry.
+        """
         if fault is not None and hasattr(fault, "chaos_run"):
             # Harness-testing specs (repro.faults.chaos) bypass real
             # injection and misbehave on purpose.
             return fault.chaos_run(self)
         if max_steps is None:
             max_steps = self.golden.step_budget
-        config = self.config
-        if config.pipeline == "dbt":
-            return self._run_dbt(fault, max_steps, probe)
-        if config.pipeline == "static" and self._instrumented is not None:
-            return self._run_static(fault, max_steps, probe)
-        return self._run_native(fault, max_steps, probe)
+        target = self._target
+        recover = self.config.recover and fault is not None
+        start = None
+        if fast_forward and fault is not None and probe is None \
+                and not recover:
+            start = target.start_for(fault, max_steps)
+        session = target.session(start)
+        injector = None
+        if isinstance(fault, RegisterFaultSpec):
+            fault.install(session.cpu)
+        elif fault is not None:
+            injector = target.injector(fault, session, start)
+        if probe is not None:
+            probe.bind(session.cpu, injector=injector, dbt=session.dbt,
+                       instrumented=target.instrumented)
+            probe.machine = session.machine
+        report = None
+        if recover:
+            stop, report = self._recover(target, session, fault,
+                                         injector, max_steps)
+        else:
+            stop = target.step(session, max_steps - (
+                start[0].steps if start is not None else 0))
+        record = self._finish(session.cpu, stop,
+                              target.detected(session, stop))
+        if report is not None:
+            record = self._apply_recovery(record, report, probe)
+        if (record.outcome is Outcome.DETECTED_SIGNATURE
+                and injector is not None
+                and injector.fired_icount is not None):
+            record.detection_latency = (session.cpu.icount
+                                        - injector.fired_icount)
+            if injector.fired_cycles is not None:
+                record.detection_latency_cycles = (
+                    session.cpu.cycles - injector.fired_cycles)
+        if session.dbt is not None and probe is None:
+            session.dbt.close()
+        return record
 
     def _finish(self, cpu: Cpu, stop, detected: bool) -> RunRecord:
         golden = getattr(self, "golden", None)
@@ -341,8 +371,7 @@ class Pipeline:
             outcome = Outcome.DETECTED_SIGNATURE
         elif stop.reason is StopReason.FAULT:
             outcome = Outcome.DETECTED_HARDWARE
-        elif stop.reason in (StopReason.STEP_LIMIT,
-                             StopReason.CYCLE_LIMIT):
+        elif stop.reason in _LIMITS:
             outcome = Outcome.HANG
         elif golden is None:
             # golden run itself: HALTED with exit 0 counts as benign
@@ -356,69 +385,51 @@ class Pipeline:
                          outputs=outputs, cycles=cpu.cycles,
                          icount=cpu.icount)
 
-    # -- multithreaded machine (repro.threads) -------------------------------
-
-    def _prepare_mt(self, technique) -> None:
-        """Static-pipeline MT support, built once per Pipeline:
-        spawn-time signature initialization (a fresh thread must enter
-        its worker with the technique's prologue invariant already
-        established) and — without signature swapping — the
-        statically-expected resync table the escape mode overwrites
-        signature registers from at every switch-in."""
-        from repro.threads import build_resync_table, build_spawn_sig_table
-        ip = self._instrumented
-        self._mt_sig_regs = tuple(technique.signature_registers)
-        self._mt_spawn_table = build_spawn_sig_table(ip, technique)
-        if not self.config.sig_swap:
-            # Worker functions have no CFG predecessors: seed the
-            # traversal with the spawn-time values at each potential
-            # entry, mapped to instrumented addresses.
-            entry_states = {ip.block_map[old]: regs
-                            for old, regs in self._mt_spawn_table.items()
-                            if old in ip.block_map}
-            self._mt_resync = build_resync_table(
-                ip, self._mt_sig_regs, entry_states=entry_states)
-
-    def _make_machine(self, cpu: Cpu):
-        from repro.threads import ThreadedMachine
-        config = self.config
-        ip = self._instrumented
-        entry_map = None
-        if ip is not None:
-            # SPAWN entry immediates hold original addresses; the
-            # rewriter relocated the code, so the machine plays loader.
-            def entry_map(old, _ip=ip):
-                return _ip.block_map.get(old, _ip.instr_map.get(old, old))
-        return ThreadedMachine(
-            cpu, quantum=config.quantum, policy=config.sched_policy,
-            seed=config.sched_seed, sig_swap=config.sig_swap,
-            sig_regs=self._mt_sig_regs,
-            resync_table=self._mt_resync,
-            entry_map=entry_map,
-            spawn_sig_init=self._mt_spawn_table)
-
     # -- checkpoint/rollback recovery (repro.recovery) -----------------------
 
-    def _recovery_manager(self, cpu, fault, injector, max_steps, step,
-                          classify, epoch=None, entry_restart=None,
-                          reinstall=None, machine=None):
+    def _recover(self, target, session, fault, injector, max_steps):
+        """Run ``session`` under the recovery manager; returns the final
+        stop and the manager's report."""
         from repro.recovery import RecoveryManager
         config = self.config
-        extra_capture = extra_restore = None
+        machine, dbt = session.machine, session.dbt
+
+        def classify(stop):
+            if machine is not None and machine.deadlocked:
+                # A starved machine stops *without consuming budget*,
+                # so as a "limit" it would spin the watchdog forever.
+                # A deadlock is final for this schedule: roll back.
+                machine.deadlocked = False
+                return "detected"
+            if (stop.reason is StopReason.FAULT
+                    or target.detected(session, stop)):
+                return "detected"
+            return "limit" if stop.reason in _LIMITS else "done"
+
+        hooks = {}
         if machine is not None:
             # Checkpoints must capture every thread, not just the one
             # occupying the CPU: saved contexts, the ready queue and
             # its RNG, mutexes, the quantum in flight.
-            extra_capture = machine.snapshot_sched_state
-            extra_restore = machine.restore_sched_state
-        return RecoveryManager(
-            cpu, step=step, classify=classify, budget=max_steps,
+            hooks = dict(extra_capture=machine.snapshot_sched_state,
+                         extra_restore=machine.restore_sched_state)
+        if dbt is not None:
+            # The entry checkpoint's PC must already point into the
+            # cache.  Checkpoints record the flush epoch, and a restart
+            # after a flush re-primes translation from scratch: the
+            # DBT's write watcher ignores cache writes, so a rollback
+            # that rewrites SMC-dirtied guest pages relies on the epoch
+            # guard, not on write monitoring.
+            dbt.enter()
+            hooks = dict(epoch=lambda: dbt.flushes,
+                         entry_restart=lambda: dbt.enter(flush=True))
+        manager = RecoveryManager(
+            session.cpu, step=lambda steps: target.step(session, steps),
+            classify=classify, budget=max_steps,
             interval=config.checkpoint_interval,
-            max_retries=config.max_retries,
-            injector=injector, reinstall=reinstall,
-            persistent=getattr(fault, "persistent", False),
-            epoch=epoch, entry_restart=entry_restart,
-            extra_capture=extra_capture, extra_restore=extra_restore)
+            max_retries=config.max_retries, injector=injector,
+            persistent=getattr(fault, "persistent", False), **hooks)
+        return manager.execute(), manager.report
 
     def _apply_recovery(self, record: RunRecord, report,
                         probe=None) -> RunRecord:
@@ -443,261 +454,164 @@ class Pipeline:
                           else Outcome.RECOVERY_FAILED)
         return record
 
-    def _attach_fault(self, cpu: Cpu, machine, fault):
-        """Bind one fault spec to the run; returns the injector-ish
-        object holding fired/occurrence state (or None)."""
-        from repro.faults.injector import SchedFaultSpec, SchedInjector
-        if isinstance(fault, SchedFaultSpec):
-            if machine is None:
-                raise ValueError(
-                    "scheduler-state faults require threads=True")
-            injector = SchedInjector(fault)
-            machine.sched_fault = injector
-            return injector
-        if isinstance(fault, RegisterFaultSpec):
-            fault.install(cpu)
-            return None
-        if fault is None:
-            return None
-        if self._instrumented is not None:
-            ip = self._instrumented
-            injector = NativeInjector(
-                fault, ip.program,
-                site_map=lambda pc: ip.instr_map.get(pc, -1),
-                landing_map=self._static_landing,
-                noncode_target=ip.program.data_base + 0x40)
-        else:
-            injector = NativeInjector(fault, self.program)
-        injector.install(cpu)
-        return injector
-
-    def _mt_classify(self, machine, classify):
-        """Wrap a recovery classifier with the deadlock rule: a starved
-        machine returns STEP_LIMIT *without consuming budget*, so
-        treating it as "limit" would spin the watchdog forever.  A
-        deadlock is final for this schedule — roll back immediately."""
-        if machine is None:
-            return classify
-
-        def classify_mt(stop):
-            if machine.deadlocked:
-                machine.deadlocked = False
-                return "detected"
-            return classify(stop)
-        return classify_mt
-
-    def _run_native(self, fault, max_steps, probe=None) -> RunRecord:
-        cpu = Cpu()
-        _install_backend(cpu, self.config.backend)
-        cpu.load_program(self.program)
-        machine = self._make_machine(cpu) if self.config.threads else None
-        injector = self._attach_fault(cpu, machine, fault)
-        if probe is not None:
-            probe.bind(cpu, injector=injector)
-            probe.machine = machine
-        if machine is None:
-            step = lambda n: cpu.run(max_steps=n)          # noqa: E731
-        else:
-            step = lambda n: machine.run(max_steps=n)      # noqa: E731
-        if self.config.recover and fault is not None:
-            def classify(stop):
-                if stop.reason is StopReason.FAULT:
-                    return "detected"
-                if stop.reason in (StopReason.STEP_LIMIT,
-                                   StopReason.CYCLE_LIMIT):
-                    return "limit"
-                return "done"
-
-            reinstall = None
-            if injector is not None and hasattr(injector, "install"):
-                reinstall = lambda: injector.install(cpu)  # noqa: E731
-            manager = self._recovery_manager(
-                cpu, fault, injector, max_steps,
-                step=step, classify=self._mt_classify(machine, classify),
-                reinstall=reinstall, machine=machine)
-            stop = manager.execute()
-            record = self._finish(cpu, stop, detected=False)
-            return self._apply_recovery(record, manager.report, probe)
-        stop = step(max_steps)
-        return self._finish(cpu, stop, detected=False)
-
-    def _run_static(self, fault, max_steps, probe=None) -> RunRecord:
-        ip = self._instrumented
-        cpu = Cpu()
-        _install_backend(cpu, self.config.backend)
-        cpu.load_program(ip.program)
-        machine = self._make_machine(cpu) if self.config.threads else None
-        injector = self._attach_fault(cpu, machine, fault)
-        if probe is not None:
-            probe.bind(cpu, injector=injector, instrumented=ip)
-            probe.machine = machine
-        if machine is None:
-            step = lambda n: cpu.run(max_steps=n)          # noqa: E731
-        else:
-            step = lambda n: machine.run(max_steps=n)      # noqa: E731
-        report = None
-        if self.config.recover and fault is not None:
-            def classify(stop):
-                if stop.reason is StopReason.FAULT:
-                    return "detected"
-                if stop.reason in (StopReason.STEP_LIMIT,
-                                   StopReason.CYCLE_LIMIT):
-                    return "limit"
-                return "detected" if cpu.cfc_error else "done"
-
-            reinstall = None
-            if injector is not None and hasattr(injector, "install"):
-                reinstall = lambda: injector.install(cpu)  # noqa: E731
-            manager = self._recovery_manager(
-                cpu, fault, injector, max_steps,
-                step=step, classify=self._mt_classify(machine, classify),
-                reinstall=reinstall, machine=machine)
-            stop = manager.execute()
-            report = manager.report
-        else:
-            stop = step(max_steps)
-        detected = cpu.cfc_error or (
-            stop.reason is StopReason.FAULT
-            and stop.fault is FaultKind.DIV_BY_ZERO
-            and stop.pc in ip.check_addresses)
-        record = self._finish(cpu, stop, detected)
-        if report is not None:
-            return self._apply_recovery(record, report, probe)
-        if (detected and injector is not None
-                and injector.fired_icount is not None):
-            record.detection_latency = cpu.icount - injector.fired_icount
-            if injector.fired_cycles is not None:
-                record.detection_latency_cycles = (
-                    cpu.cycles - injector.fired_cycles)
-        return record
-
-    def _static_landing(self, guest_addr: int) -> int | None:
-        ip = self._instrumented
-        if guest_addr in ip.block_map:
-            return ip.block_map[guest_addr]
-        return ip.instr_map.get(guest_addr)
-
     def _dbt_session(self) -> Dbt:
         return dbt_session(self.program, self.config,
                            self._make_technique())
 
-    def _run_dbt(self, fault, max_steps, probe=None) -> RunRecord:
-        if fault is not None and probe is None and not self.config.recover:
-            if self._timeline is None:
-                self._timeline = GoldenTimeline(self._dbt_session)
-            start = self._timeline.start_for(fault, max_steps)
-            if start is not None:
-                return self._run_dbt_forwarded(fault, max_steps, *start)
-        return self._run_dbt_from_entry(fault, max_steps, probe)
 
-    def _run_dbt_forwarded(self, fault, max_steps, mark,
-                           count) -> RunRecord:
-        """A fault run fast-forwarded along the golden timeline
-        (:mod:`repro.faults.timeline`): it starts from ``mark``, with
-        the injector installed there and ``count`` executions of its
-        site already counted.  The record equals the from-entry run's
-        field for field."""
-        dbt = self._dbt_session()
-        dbt.restore(mark.session)
-        injector = None
-        if isinstance(fault, RegisterFaultSpec):
-            fault.install(dbt.cpu)
-        elif isinstance(fault, CacheFaultSpec):
-            injector = CacheLevelInjector(fault, dbt)
-            injector.arm(count)
+_LIMITS = (StopReason.STEP_LIMIT, StopReason.CYCLE_LIMIT)
+
+
+@dataclass(slots=True)
+class _Session:
+    """The machine of one run: its CPU, and the DBT session or the
+    threaded machine driving it."""
+
+    cpu: Cpu
+    dbt: Dbt | None = None
+    machine: object = None
+    #: the last DBT slice stopped at a detection trap
+    trapped: bool = False
+
+
+class _CpuTarget:
+    """Native and statically instrumented runs: a CPU loaded with the
+    image, stepped directly or by the threaded machine."""
+
+    def __init__(self, pipeline: Pipeline):
+        config = self.config = pipeline.config
+        self.instrumented = ip = None
+        self.image = pipeline.program
+        #: how the injector maps guest addresses into the image
+        self.mapping = {}
+        self.sig_regs, self.spawn_table, self.resync = (), None, None
+        if config.pipeline == "static" and config.technique:
+            technique = pipeline._make_technique(
+                cfg=build_cfg(pipeline.program))
+            ip = self.instrumented = StaticRewriter(
+                technique, config.policy).rewrite(pipeline.program)
+            self.image = ip.program
+            self.mapping = dict(
+                site_map=lambda pc: ip.instr_map.get(pc, -1),
+                landing_map=lambda addr: ip.block_map.get(
+                    addr, ip.instr_map.get(addr)),
+                noncode_target=ip.program.data_base + 0x40)
+            if config.threads:
+                self._prepare_mt(technique)
+
+    def _prepare_mt(self, technique) -> None:
+        """Static-pipeline MT support: spawn-time signature
+        initialization (a fresh thread must enter its worker with the
+        technique's prologue invariant already established) and —
+        without signature swapping — the statically-expected resync
+        table the escape mode overwrites signature registers from at
+        every switch-in."""
+        from repro.threads import build_resync_table, build_spawn_sig_table
+        ip = self.instrumented
+        self.sig_regs = tuple(technique.signature_registers)
+        self.spawn_table = build_spawn_sig_table(ip, technique)
+        if not self.config.sig_swap:
+            # Worker functions have no CFG predecessors: seed the
+            # traversal with the spawn-time values at each potential
+            # entry, mapped to instrumented addresses.
+            entry_states = {ip.block_map[old]: regs
+                            for old, regs in self.spawn_table.items()
+                            if old in ip.block_map}
+            self.resync = build_resync_table(
+                ip, self.sig_regs, entry_states=entry_states)
+
+    def _machine(self, cpu: Cpu):
+        from repro.threads import ThreadedMachine
+        config = self.config
+        ip = self.instrumented
+        entry_map = None
+        if ip is not None:
+            # SPAWN entry immediates hold original addresses; the
+            # rewriter relocated the code, so the machine plays loader.
+            def entry_map(old):
+                return ip.block_map.get(old, ip.instr_map.get(old, old))
+        return ThreadedMachine(
+            cpu, quantum=config.quantum, policy=config.sched_policy,
+            seed=config.sched_seed, sig_swap=config.sig_swap,
+            sig_regs=self.sig_regs, resync_table=self.resync,
+            entry_map=entry_map, spawn_sig_init=self.spawn_table)
+
+    def start_for(self, fault, max_steps: int):
+        return None
+
+    def session(self, start=None) -> _Session:
+        cpu = Cpu()
+        _install_backend(cpu, self.config.backend)
+        cpu.load_program(self.image)
+        return _Session(cpu, machine=(self._machine(cpu)
+                                      if self.config.threads else None))
+
+    def step(self, session: _Session, steps: int):
+        runner = session.cpu if session.machine is None else session.machine
+        return runner.run(max_steps=steps)
+
+    def detected(self, session: _Session, stop) -> bool:
+        ip = self.instrumented
+        return ip is not None and (session.cpu.cfc_error or (
+            stop.reason is StopReason.FAULT
+            and stop.fault is FaultKind.DIV_BY_ZERO
+            and stop.pc in ip.check_addresses))
+
+    def injector(self, fault, session: _Session, start=None):
+        if isinstance(fault, SchedFaultSpec):
+            if session.machine is None:
+                raise ValueError(
+                    "scheduler-state faults require threads=True")
+            injector = SchedInjector(fault, session.machine)
         else:
-            injector = DbtInjector(fault, dbt)
-            injector.arm(count, mark.sites_of(fault.branch_pc),
-                         mark.known_translations)
-        result = dbt.run(max_steps=max_steps - mark.steps)
-        record = self._dbt_record(dbt, result, injector)
-        dbt.close()
-        return record
+            injector = NativeInjector(fault, self.image, session.cpu,
+                                      **self.mapping)
+        injector.install()
+        return injector
 
-    def _run_dbt_from_entry(self, fault, max_steps,
-                            probe=None) -> RunRecord:
-        dbt = self._dbt_session()
-        injector = None
+
+class _DbtTarget:
+    """DBT runs: a fresh translator session per run, started at the
+    program entry or restored at a golden-timeline mark."""
+
+    instrumented = None
+
+    def __init__(self, pipeline: Pipeline):
+        self.pipeline = pipeline
+
+    def start_for(self, fault, max_steps: int):
+        """(mark, count) of a fast-forwarded start, or None."""
+        pipeline = self.pipeline
+        if pipeline._timeline is None:
+            pipeline._timeline = GoldenTimeline(pipeline._dbt_session)
+        return pipeline._timeline.start_for(fault, max_steps)
+
+    def session(self, start=None) -> _Session:
+        dbt = self.pipeline._dbt_session()
+        if start is not None:
+            dbt.restore(start[0].session)
+        return _Session(dbt.cpu, dbt=dbt)
+
+    def step(self, session: _Session, steps: int):
+        result = session.dbt.run(max_steps=steps)
+        session.trapped = (result.detected_error
+                           or result.detected_dataflow)
+        return result.stop
+
+    def detected(self, session: _Session, stop) -> bool:
+        return session.trapped
+
+    def injector(self, fault, session: _Session, start=None):
         if isinstance(fault, CacheFaultSpec):
-            injector = CacheLevelInjector(fault, dbt)
-            injector.install()
-        elif isinstance(fault, RegisterFaultSpec):
-            fault.install(dbt.cpu)
-        elif fault is not None:
-            injector = DbtInjector(fault, dbt)
-            injector.install()
-        if probe is not None:
-            probe.bind(dbt.cpu, injector=injector, dbt=dbt)
-        if self.config.recover and fault is not None:
-            return self._run_dbt_recovered(dbt, fault, injector,
-                                           max_steps, probe)
-        return self._dbt_record(dbt, dbt.run(max_steps=max_steps),
-                                injector)
-
-    def _dbt_record(self, dbt, result, injector) -> RunRecord:
-        detected = result.detected_error or result.detected_dataflow
-        record = self._finish(dbt.cpu, result.stop, detected)
-        if (detected and injector is not None
-                and injector.fired_icount is not None):
-            record.detection_latency = (dbt.cpu.icount
-                                        - injector.fired_icount)
-            if injector.fired_cycles is not None:
-                record.detection_latency_cycles = (
-                    dbt.cpu.cycles - injector.fired_cycles)
-        return record
-
-    def _run_dbt_recovered(self, dbt, fault, injector, max_steps,
-                           probe) -> RunRecord:
-        """DBT run under the recovery manager.
-
-        The entry stub is primed eagerly so the entry checkpoint's PC
-        already points into the translation cache; checkpoints record
-        the DBT's flush epoch, and an entry restart after a flush
-        re-primes translation from scratch (stale-translation hazard:
-        the DBT's raw-write watcher deliberately ignores cache writes,
-        so a rollback that rewrites SMC-dirtied guest pages relies on
-        the epoch guard, not on write monitoring).
-        """
-        if dbt._entry_stub is None:
-            dbt._entry_stub = dbt._emit_entry_stub()
-            dbt.cpu.pc = dbt._entry_stub
-
-        def entry_restart():
-            dbt._flush_translations()
-            dbt._entry_stub = dbt._emit_entry_stub()
-            dbt.cpu.pc = dbt._entry_stub
-
-        def classify(result):
-            if result.detected_error or result.detected_dataflow:
-                return "detected"
-            reason = result.stop.reason
-            if reason is StopReason.FAULT:
-                return "detected"
-            if reason in (StopReason.STEP_LIMIT, StopReason.CYCLE_LIMIT):
-                return "limit"
-            return "done"
-
-        if isinstance(injector, DbtInjector):
-            def reinstall():
-                # Site addresses are stale after a cache flush; force a
-                # re-enumeration against the fresh translations.
-                injector._sites.clear()
-                injector._known_translations = -1
-                injector.install()
-        elif injector is not None:
-            reinstall = injector.install
+            injector = CacheLevelInjector(fault, session.dbt)
         else:
-            reinstall = None
-
-        manager = self._recovery_manager(
-            dbt.cpu, fault, injector, max_steps,
-            step=lambda n: dbt._run(n, None), classify=classify,
-            epoch=lambda: dbt.flushes, entry_restart=entry_restart,
-            reinstall=reinstall)
-        result = manager.execute()
-        detected = result.detected_error or result.detected_dataflow
-        record = self._finish(dbt.cpu, result.stop, detected)
-        return self._apply_recovery(record, manager.report, probe)
+            injector = DbtInjector(fault, session.dbt)
+        if start is None:
+            injector.install()
+        else:
+            mark, count = start
+            injector.arm(count, mark)
+        return injector
 
 
 # -- campaign fault generation ---------------------------------------------------

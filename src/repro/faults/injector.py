@@ -117,7 +117,9 @@ _NOP = Instruction(op=Op.NOP)
 
 
 class _HookBase:
-    """Shared occurrence counting for pre-branch hooks."""
+    """What every injector shares: occurrence counting for pre-branch
+    hooks, the fired state detection latency and recovery read, and
+    ``install()``."""
 
     def __init__(self, spec: FaultSpec):
         self.spec = spec
@@ -143,6 +145,10 @@ class _HookBase:
         self.count += 1
         return self.count == self.spec.occurrence
 
+    def reinstall(self) -> None:
+        """Install again after a recovery rollback (persistent faults)."""
+        self.install()
+
     def _retire(self, cpu: Cpu) -> None:
         """Uninstall a fired hook: it is a permanent no-op from here on,
         and an empty hook slot lets compiled backends run branches at
@@ -162,19 +168,20 @@ class NativeInjector(_HookBase):
     rewritten image whose layout differs from the original.
     """
 
-    def __init__(self, spec: FaultSpec, program: Program,
+    def __init__(self, spec: FaultSpec, program: Program, cpu: Cpu,
                  site_map=None, landing_map=None,
                  noncode_target: int | None = None):
         super().__init__(spec)
         self.program = program
+        self.cpu = cpu
         self.landing_map = landing_map
         self.noncode_target = noncode_target
         site = spec.branch_pc if site_map is None else site_map(
             spec.branch_pc)
         self.armed_site = site
 
-    def install(self, cpu: Cpu) -> None:
-        cpu.pre_branch_hook = self.hook
+    def install(self) -> None:
+        self.cpu.pre_branch_hook = self.hook
 
     @staticmethod
     def _natural_direction(cpu: Cpu, instr: Instruction) -> bool:
@@ -273,14 +280,23 @@ class DbtInjector(_HookBase):
     def install(self) -> None:
         self.dbt.cpu.pre_branch_hook = self.hook
 
-    def arm(self, count: int, sites, known_translations: int) -> None:
-        """Install on a session restored mid-run (fast-forward): the
-        occurrence count and site bookkeeping are preset to the state a
-        from-entry injector would have reached there, as recorded by a
+    def arm(self, count: int, mark) -> None:
+        """Install on a session restored at a golden-timeline ``mark``
+        (fast-forward): the occurrence count and site bookkeeping are
+        preset to the state a from-entry injector would have reached
+        there, as recorded by a
         :class:`~repro.faults.timeline.GoldenTimeline`."""
         self.count = count
-        self._sites = set(sites)
-        self._known_translations = known_translations
+        self._sites = mark.sites_of(self.spec.branch_pc)
+        self._known_translations = mark.known_translations
+        self.install()
+
+    def reinstall(self) -> None:
+        """Install again after a recovery rollback.  Its site addresses
+        are stale once the cache was flushed, so they are enumerated
+        afresh against the current translations."""
+        self._sites.clear()
+        self._known_translations = -1
         self.install()
 
     def _redirect(self) -> int:
@@ -431,22 +447,16 @@ class SchedFaultSpec:
                 f"@sw{self.switch}")
 
 
-class SchedInjector:
+class SchedInjector(_HookBase):
     """Applies one :class:`SchedFaultSpec` via the machine's
-    ``sched_fault`` switch hook.
+    ``sched_fault`` switch hook."""
 
-    Mirrors the ``_HookBase`` runtime surface (``count``/``fired``/
-    ``fired_icount``/``fired_cycles``) so detection-latency accounting
-    and the recovery manager's occurrence snapshotting work unchanged.
-    """
+    def __init__(self, spec: SchedFaultSpec, machine):
+        super().__init__(spec)
+        self.machine = machine
 
-    def __init__(self, spec: SchedFaultSpec):
-        self.spec = spec
-        self.count = 0
-        self.fired = False
-        self.fired_icount: int | None = None
-        self.fired_cycles: int | None = None
-        self.fired_tid: int | None = None
+    def install(self) -> None:
+        self.machine.sched_fault = self
 
     def on_switch(self, machine) -> None:
         if self.fired or machine.switches != self.spec.switch:
@@ -494,7 +504,7 @@ class CacheFaultSpec:
                 f"b{self.bit}{forced}")
 
 
-class CacheLevelInjector:
+class CacheLevelInjector(_HookBase):
     """Flips an encoded offset bit of a branch in the code cache.
 
     This is the honest "soft error strikes the translated code" model:
@@ -504,31 +514,23 @@ class CacheLevelInjector:
     """
 
     def __init__(self, spec: CacheFaultSpec, dbt):
-        self.spec = spec
+        super().__init__(spec)
         self.dbt = dbt
-        self.count = 0
-        self.fired = False
-        #: cpu.icount / cpu.cycles at the moment the fault applied
-        #: (for detection latency in instructions and cycles)
-        self.fired_icount: int | None = None
-        self.fired_cycles: int | None = None
 
     def install(self) -> None:
         self.dbt.cpu.pre_branch_hook = self.hook
 
-    def arm(self, count: int) -> None:
-        """Install on a session restored mid-run (fast-forward), with
-        ``count`` earlier executions of the site already counted."""
+    def arm(self, count: int, mark=None) -> None:
+        """Install on a session restored at a golden-timeline mark
+        (fast-forward), with ``count`` earlier executions of the site
+        already counted."""
         self.count = count
         self.install()
 
     def hook(self, cpu: Cpu, pc: int, instr: Instruction
              ) -> Instruction | None:
         if self.fired:
-            # Same retirement rule as _HookBase._retire: a fired hook
-            # is a permanent no-op, so free the slot when it is ours.
-            if cpu.pre_branch_hook == self.hook:
-                cpu.pre_branch_hook = None
+            self._retire(cpu)
             return None
         if pc != self.spec.cache_addr:
             return None

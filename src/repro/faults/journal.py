@@ -6,7 +6,7 @@ chunk as one JSON line::
 
     {"v": 1,
      "program": "<sha256 of the loadable image>",
-     "config":  ["dbt", "rcf", "allbb", "jcc", false],
+     "config":  ["dbt", "rcf", "allbb", "jcc", false, "interp"],
      "chunk":   3,
      "specs":   ["1f0c…", …],      # per-spec content digests
      "records": [{…}, …]}          # serialized RunRecords
@@ -30,6 +30,7 @@ import json
 import logging
 import os
 
+from repro.faults.cache import config_key, program_digest
 from repro.faults.campaign import Outcome, RunRecord
 
 log = logging.getLogger(__name__)
@@ -42,34 +43,40 @@ def spec_digest(spec) -> str:
     return hashlib.sha256(repr(spec).encode()).hexdigest()[:16]
 
 
-def inject_header(technique: str | None, policy: str, backend: str,
-                  recover: bool = False, threads: bool = False,
-                  quantum: int = 0, sched_policy: str = "rr",
-                  sched_seed: int = 0, sig_swap: bool = True) -> dict:
+class JournalMismatch(ValueError):
+    """A resumed journal was recorded by a different campaign."""
+
+
+def inject_header(program, config) -> dict:
     """The ``repro inject`` journal header.
 
     Shared by the CLI and the campaign service so a service inject
     job's journal is byte-identical to the CLI's for the same campaign.
-    The scheduler block only appears on multithreaded campaigns, so
-    pre-MT journals keep their exact header shape; ``--resume`` refuses
-    a journal whose scheduler parameters disagree with the command line
-    (the schedule — and therefore every record — would not replay).
+    The scheduler block only appears on multithreaded campaigns.  The
+    ``program`` digest and ``config`` key are the campaign identity
+    every chunk line carries, which :meth:`CampaignJournal.begin`
+    holds a resumed campaign to.
     """
-    header = {"tool": "repro-inject", "technique": technique,
-              "policy": policy, "backend": backend, "recover": recover}
-    if threads:
-        header["threads"] = True
-        header["quantum"] = quantum
-        header["sched_policy"] = sched_policy
-        header["sched_seed"] = sched_seed
-        header["sig_swap"] = sig_swap
+    header = {"tool": "repro-inject", "technique": config.technique,
+              "policy": config.policy.value, "backend": config.backend,
+              "recover": config.recover}
+    if config.threads:
+        header.update(threads=True, quantum=config.quantum,
+                      sched_policy=config.sched_policy,
+                      sched_seed=config.sched_seed,
+                      sig_swap=config.sig_swap)
+    header["program"] = program_digest(program)
+    header["config"] = list(config_key(config))
     return header
 
 
-def coverage_header(seed: int, per_category: int, backend: str) -> dict:
+def coverage_header(program, seed: int, per_category: int, backend: str,
+                    cache_level: bool) -> dict:
     """The ``repro coverage`` journal header (CLI/service shared)."""
     return {"tool": "repro-coverage", "seed": seed,
-            "per_category": per_category, "backend": backend}
+            "per_category": per_category, "backend": backend,
+            "program": program_digest(program),
+            "cache_level": cache_level}
 
 
 def record_to_json(record: RunRecord) -> dict:
@@ -115,15 +122,44 @@ class CampaignJournal:
     def append_header(self, meta: dict) -> None:
         """Durably record run metadata (effective seed, CLI knobs, ...).
 
-        Header lines carry no ``program``/``config`` identity, so
-        :meth:`replay` skips them naturally; they exist for humans and
-        tooling to reconstruct the exact command that produced the file.
+        Header lines carry no top-level ``program``/``config``
+        identity, so :meth:`replay` skips them naturally; they exist
+        for humans and tooling to reconstruct the exact command that
+        produced the file, and for :meth:`begin` to refuse resuming a
+        different campaign.
         """
         entry = {"v": JOURNAL_VERSION, "header": dict(meta)}
         with open(self.path, "a", encoding="utf-8") as handle:
             handle.write(json.dumps(entry, separators=(",", ":")) + "\n")
             handle.flush()
             os.fsync(handle.fileno())
+
+    def begin(self, header: dict, resume: bool) -> None:
+        """Open the journal for the campaign ``header`` describes.
+
+        A fresh campaign appends its header.  A resumed one must agree
+        with the journal's recorded header on every key both carry,
+        else :class:`JournalMismatch`: its chunks would sit beside
+        another campaign's under a header that no longer describes
+        them.  Headers written before a key existed skip that key.
+        """
+        if not resume:
+            self.append_header(header)
+            return
+        recorded = self.read_header()
+        if recorded is None:
+            return
+        wanted = json.loads(json.dumps(header))
+        differ = [key for key in wanted
+                  if key in recorded and recorded[key] != wanted[key]]
+        if differ:
+            detail = ", ".join(f"{key}: journal={recorded[key]!r} vs "
+                               f"{wanted[key]!r}" for key in differ)
+            raise JournalMismatch(
+                f"journal {self.path} was recorded by a different "
+                f"campaign ({detail}); resuming would mix two "
+                "campaigns in one journal. Pass the options it was "
+                "recorded with, or start a new journal.")
 
     # -- reading -------------------------------------------------------------
 

@@ -88,7 +88,7 @@ class RecoveryManager:
     def __init__(self, cpu, *, step, classify, budget,
                  interval: int = DEFAULT_CHECKPOINT_INTERVAL,
                  max_retries: int = DEFAULT_MAX_RETRIES,
-                 injector=None, reinstall=None, persistent: bool = False,
+                 injector=None, persistent: bool = False,
                  epoch=None, entry_restart=None,
                  extra_capture=None, extra_restore=None,
                  max_live: int = MAX_LIVE_CHECKPOINTS):
@@ -99,7 +99,6 @@ class RecoveryManager:
         self.interval = max(1, interval)
         self.max_retries = max_retries
         self.injector = injector
-        self.reinstall = reinstall
         self.persistent = persistent
         self.epoch = epoch if epoch is not None else (lambda: 0)
         self.entry_restart = entry_restart
@@ -117,7 +116,7 @@ class RecoveryManager:
 
     def _injector_mark(self):
         inj = self.injector
-        if inj is None or not hasattr(inj, "fired"):
+        if inj is None:
             return None
         return (inj.count, inj.fired, inj.fired_icount, inj.fired_cycles)
 
@@ -194,12 +193,11 @@ class RecoveryManager:
         else:
             obs.counter("recovery_rollbacks_total",
                         help="Rollbacks to a mid-run checkpoint").inc()
-        if self.persistent:
+        if self.persistent and self.injector is not None:
             # The spec models a stuck-at error: restore the occurrence
             # counters to their checkpoint-time values and re-arm.
             self._injector_restore(cp.injector_state)
-            if self.reinstall is not None:
-                self.reinstall()
+            self.injector.reinstall()
         self.report.attempts += 1
         self.report.rollback_icount += distance
         self.report.reexec_cycles += discarded

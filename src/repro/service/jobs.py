@@ -78,23 +78,24 @@ def _require(condition: bool, message: str) -> None:
 def _assemble(spec_program: str, name: str):
     from repro.isa import assemble
     try:
-        return assemble(spec_program, name=name)
+        program = assemble(spec_program, name=name)
     except Exception as exc:
         raise ValueError(f"program does not assemble: {exc}") from exc
+    _require(program.instruction_count() > 0, "the program has no code")
+    return program
 
 
-def build_pipeline_config(params: dict):
-    """PipelineConfig from job params (CLI-flag defaults)."""
+def build_pipeline_config(params: dict, pipeline: str = "dbt"):
+    """PipelineConfig from job params, or from ``repro inject`` /
+    ``repro explain`` flags: both use the same names and defaults, so
+    a job and the command it mirrors run the same configuration."""
     from repro.checking import Policy, UpdateStyle
     from repro.faults import PipelineConfig
     technique = params.get("technique")
     _require(technique is None or technique in TECHNIQUES,
              f"unknown technique {technique!r}")
-    try:
-        policy = Policy(params.get("policy", "allbb"))
-        update = UpdateStyle(params.get("update", "jcc"))
-    except ValueError as exc:
-        raise ValueError(str(exc)) from exc
+    policy = Policy(params.get("policy", "allbb"))
+    update = UpdateStyle(params.get("update", "jcc"))
     kwargs = {}
     if params.get("recover"):
         kwargs["recover"] = True
@@ -103,7 +104,6 @@ def build_pipeline_config(params: dict):
                 int(params["checkpoint_interval"])
         if params.get("max_retries") is not None:
             kwargs["max_retries"] = int(params["max_retries"])
-    pipeline = "dbt"
     if params.get("threads"):
         from repro.threads import DEFAULT_QUANTUM, POLICIES
         sched_policy = params.get("sched_policy", "rr")
@@ -111,12 +111,13 @@ def build_pipeline_config(params: dict):
                  f"unknown scheduler policy {sched_policy!r}")
         kwargs.update(
             threads=True,
-            quantum=int(params.get("quantum", DEFAULT_QUANTUM)),
+            quantum=int(params.get("quantum") or DEFAULT_QUANTUM),
             sched_policy=sched_policy,
             sched_seed=int(params.get("sched_seed", 0)),
             sig_swap=not params.get("no_sig_swap", False))
-        # The DBT does not thread; mirror the CLI's pipeline choice.
-        pipeline = "static" if technique else "native"
+        if pipeline == "dbt":
+            # The DBT does not context-switch translated state.
+            pipeline = "static" if technique else "native"
     return PipelineConfig(pipeline, technique, policy, update,
                           dataflow=bool(params.get("dataflow", False)),
                           backend=params.get("backend", "interp"),
@@ -160,6 +161,23 @@ def build_fuzz_config(params: dict):
         except ValueError as exc:
             raise ValueError(str(exc)) from exc
     return config
+
+
+def _fault_specs(program, params: dict) -> list:
+    """An inject job's fault specs, parsed as ``repro inject`` parses
+    its ``--fault`` tokens (ValueError on a bad token)."""
+    from repro.cli import parse_fault_token
+    thread = params.get("thread")
+    specs = []
+    for token in params["faults"]:
+        try:
+            specs.append(parse_fault_token(
+                program, token, branch=str(params.get("branch", "0")),
+                occurrence=int(params.get("occurrence", 1)),
+                thread=None if thread is None else int(thread)))
+        except (ValueError, KeyError) as exc:
+            raise ValueError(f"bad fault token {token!r}: {exc}") from exc
+    return specs
 
 
 def validate_spec(payload) -> JobSpec:
@@ -207,16 +225,7 @@ def validate_spec(payload) -> JobSpec:
                  "fault tokens (offset:BIT | flag:BIT | direction | "
                  "redirect:ADDR | register:REG,BIT,ICOUNT)")
         build_pipeline_config(params)
-        from repro.cli import parse_fault_token
-        for token in faults:
-            try:
-                parse_fault_token(assembled, token,
-                                  branch=str(params.get("branch", "0")),
-                                  occurrence=int(
-                                      params.get("occurrence", 1)))
-            except (ValueError, KeyError) as exc:
-                raise ValueError(
-                    f"bad fault token {token!r}: {exc}") from exc
+        _fault_specs(assembled, params)
     elif kind == "coverage":
         _require(isinstance(params.get("per_category", 8), int),
                  "params.per_category must be an integer")
@@ -394,32 +403,15 @@ def _resume_flag(job: Job) -> bool:
 
 
 def _run_inject(job: Job) -> dict:
-    from repro.cli import parse_fault_token
     from repro.faults import CampaignExecutor
     from repro.faults.journal import CampaignJournal, inject_header
     params = job.spec.params
     program = _assemble(job.spec.program, job.spec.name)
-    thread = params.get("thread")
-    specs = [parse_fault_token(program, token,
-                               branch=str(params.get("branch", "0")),
-                               occurrence=int(params.get("occurrence",
-                                                         1)),
-                               thread=(None if thread is None
-                                       else int(thread)))
-             for token in params["faults"]]
+    specs = _fault_specs(program, params)
     config = build_pipeline_config(params)
     resume = _resume_flag(job)
-    if not resume:
-        CampaignJournal(job.journal_path).append_header(
-            inject_header(params.get("technique"),
-                          params.get("policy", "allbb"),
-                          params.get("backend", "interp"),
-                          recover=bool(params.get("recover", False)),
-                          threads=config.threads,
-                          quantum=config.quantum,
-                          sched_policy=config.sched_policy,
-                          sched_seed=config.sched_seed,
-                          sig_swap=config.sig_swap))
+    CampaignJournal(job.journal_path).begin(
+        inject_header(program, config), resume)
     from repro.obs.traceevent import TraceContext
     executor = CampaignExecutor(
         program, config, jobs=params.get("jobs", 1),
@@ -449,10 +441,11 @@ def _run_coverage(job: Job) -> dict:
     seed = int(params.get("seed", 2006))
     per_category = int(params.get("per_category", 8))
     backend = params.get("backend", "interp")
+    include_cache_level = not params.get("no_cache_level", False)
     resume = _resume_flag(job)
-    if not resume:
-        CampaignJournal(job.journal_path).append_header(
-            coverage_header(seed, per_category, backend))
+    CampaignJournal(job.journal_path).begin(
+        coverage_header(program, seed, per_category, backend,
+                        include_cache_level), resume)
     forensics = params.get("forensics")
     forensics_path = None
     if forensics is not None:
@@ -460,7 +453,7 @@ def _run_coverage(job: Job) -> dict:
         forensics_path = bundle_path_for(job.journal_path)
     matrix = compute_coverage_matrix(
         program, per_category=per_category, seed=seed,
-        include_cache_level=not params.get("no_cache_level", False),
+        include_cache_level=include_cache_level,
         jobs=params.get("jobs", 1), retries=params.get("retries"),
         timeout=params.get("timeout"), journal=job.journal_path,
         resume=resume, forensics=forensics,

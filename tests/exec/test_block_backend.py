@@ -191,8 +191,8 @@ class TestHookParity:
             site = sorted(executed)[0]
             spec = FaultSpec(site, 2, DirectionFault(taken=None))
             cpu = _fresh(program, backend)
-            injector = NativeInjector(spec, program)
-            injector.install(cpu)
+            injector = NativeInjector(spec, program, cpu)
+            injector.install()
             stop = cpu.run(max_steps=MAX_STEPS)
             assert injector.fired
             states.append(_state(cpu, stop))
@@ -212,8 +212,8 @@ class TestHookParity:
         cpu = _fresh(program, "block")
         injector = NativeInjector(FaultSpec(site, 1,
                                             DirectionFault(taken=None)),
-                                  program)
-        injector.install(cpu)
+                                  program, cpu)
+        injector.install()
         cpu.run(max_steps=MAX_STEPS)
         assert injector.fired
         assert cpu.pre_branch_hook is None  # retired after firing

@@ -78,7 +78,8 @@ dead:
 
 
 def from_entry(pipeline, spec):
-    return pipeline._run_dbt_from_entry(spec, pipeline.golden.step_budget)
+    return pipeline._execute(spec, pipeline.golden.step_budget,
+                             fast_forward=False)
 
 
 def assert_same_records(pipeline, specs):

@@ -30,8 +30,8 @@ loop:
 def native_with_fault(program, spec, max_steps=100_000):
     cpu = Cpu()
     cpu.load_program(program)
-    injector = NativeInjector(spec, program)
-    injector.install(cpu)
+    injector = NativeInjector(spec, program, cpu)
+    injector.install()
     stop = cpu.run(max_steps=max_steps)
     return cpu, stop, injector
 

@@ -297,3 +297,60 @@ class TestTornTail:
                                          "backend": "x"}
         # read_header is a pure read: no truncation side effect.
         assert os.path.getsize(path) > size
+
+
+class TestCampaignIdentity:
+    """``CampaignJournal.begin``: a fresh campaign writes its header, a
+    resumed one must match the recorded header on every shared key."""
+
+    HEADER = {"tool": "repro-inject", "technique": "rcf",
+              "config": ["dbt", "rcf", "allbb", "jcc", False, "interp"]}
+
+    def test_fresh_journal_gets_the_header(self, tmp_path):
+        journal = CampaignJournal(str(tmp_path / "j.jsonl"))
+        journal.begin(self.HEADER, resume=False)
+        assert journal.read_header() == self.HEADER
+
+    def test_matching_resume_appends_nothing(self, tmp_path):
+        journal = CampaignJournal(str(tmp_path / "j.jsonl"))
+        journal.begin(self.HEADER, resume=False)
+        size = os.path.getsize(journal.path)
+        journal.begin(dict(self.HEADER), resume=True)
+        assert os.path.getsize(journal.path) == size
+
+    def test_mismatched_resume_refused(self, tmp_path):
+        from repro.faults.journal import JournalMismatch
+        journal = CampaignJournal(str(tmp_path / "j.jsonl"))
+        journal.begin(self.HEADER, resume=False)
+        before = open(journal.path, "rb").read()
+        other = dict(self.HEADER, technique="edgcf")
+        with pytest.raises(JournalMismatch, match="technique"):
+            journal.begin(other, resume=True)
+        assert open(journal.path, "rb").read() == before
+
+    def test_keys_missing_from_an_old_header_are_skipped(self, tmp_path):
+        journal = CampaignJournal(str(tmp_path / "j.jsonl"))
+        journal.append_header({"tool": "repro-inject",
+                               "technique": "rcf"})
+        journal.begin(self.HEADER, resume=True)   # no "config" recorded
+
+    def test_resume_without_a_journal_starts_nothing(self, tmp_path):
+        journal = CampaignJournal(str(tmp_path / "j.jsonl"))
+        journal.begin(self.HEADER, resume=True)
+        assert not os.path.exists(journal.path)
+
+    def test_inject_header_carries_the_chunk_identity(self, gap,
+                                                      tmp_path):
+        from repro.faults.journal import inject_header
+        path = str(tmp_path / "j.jsonl")
+        header = inject_header(gap, CONFIG)
+        CampaignJournal(path).begin(header, resume=False)
+        faults = generate_category_faults(gap, per_category=1, seed=3)
+        CampaignExecutor(gap, CONFIG, journal=path).run_campaign(faults)
+        digest, key = campaign_key(gap, CONFIG)
+        assert (header["program"], header["config"]) == (digest,
+                                                         list(key))
+        chunks = [json.loads(line) for line in open(path)][1:]
+        assert chunks and all(
+            (chunk["program"], chunk["config"]) == (digest, list(key))
+            for chunk in chunks)

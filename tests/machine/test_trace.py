@@ -94,7 +94,7 @@ d:  halt
         cpu = Cpu()
         cpu.load_program(program)
         NativeInjector(FaultSpec(0x100C, 1, DirectionFault(taken=False)),
-                       program).install(cpu)
+                       program, cpu).install()
         tracer = Tracer()
         tracer.attach(cpu)   # chains on top of the injector's hook
         cpu.run()

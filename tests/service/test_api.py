@@ -17,7 +17,7 @@ def inject_payload(src, faults, jobs=1, tenant="default"):
     return {"kind": "inject", "program": src, "tenant": tenant,
             "name": "sum_loop.s",
             "params": {"technique": "edgcf", "faults": list(faults),
-                       "branch": "loop", "jobs": jobs}}
+                       "branch": "loop+12", "jobs": jobs}}
 
 
 def cli_inject_journal(tmp_path, src, faults, jobs=1):
@@ -26,7 +26,7 @@ def cli_inject_journal(tmp_path, src, faults, jobs=1):
     source = tmp_path / "cli-prog.s"
     source.write_text(src)
     journal = tmp_path / f"cli-{jobs}.jsonl"
-    argv = ["inject", str(source), "-t", "edgcf", "--branch", "loop",
+    argv = ["inject", str(source), "-t", "edgcf", "--branch", "loop+12",
             "--journal", str(journal), "--jobs", str(jobs)]
     for token in faults:
         argv += ["--fault", token]
@@ -211,7 +211,7 @@ class TestCliFrontend:
         payload = tmp_path / "job.json"
         payload.write_text(json.dumps(
             {"kind": "inject",
-             "params": {"technique": "edgcf", "branch": "loop",
+             "params": {"technique": "edgcf", "branch": "loop+12",
                         "faults": ["direction", "flag:0"]}}))
         program = tmp_path / "prog.s"
         program.write_text(sum_loop_src)

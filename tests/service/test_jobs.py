@@ -11,7 +11,7 @@ def good_inject(sum_loop_src):
         return {"kind": "inject", "program": sum_loop_src,
                 "params": {"technique": "edgcf",
                            "faults": ["direction"],
-                           "branch": "loop"}}
+                           "branch": "loop+12"}}
     return build
 
 
@@ -56,6 +56,18 @@ class TestValidateSpec:
         payload = good_inject()
         payload["params"]["branch"] = "nowhere"
         with pytest.raises(ValueError, match="bad fault token"):
+            validate_spec(payload)
+
+    def test_branch_fault_at_a_non_branch(self, good_inject):
+        payload = good_inject()
+        payload["params"]["branch"] = "loop"          # an add
+        with pytest.raises(ValueError, match="no branch instruction"):
+            validate_spec(payload)
+
+    def test_program_without_code(self, good_inject):
+        payload = good_inject()
+        payload["program"] = ".entry main\nmain:\n"
+        with pytest.raises(ValueError, match="has no code"):
             validate_spec(payload)
 
     def test_empty_fault_list(self, good_inject):

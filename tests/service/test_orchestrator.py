@@ -21,7 +21,7 @@ def inject_payload(src, faults, tenant="default", priority=0, jobs=1):
     return {"kind": "inject", "program": src, "tenant": tenant,
             "priority": priority,
             "params": {"technique": "edgcf", "faults": list(faults),
-                       "branch": "loop", "jobs": jobs}}
+                       "branch": "loop+12", "jobs": jobs}}
 
 
 class TestLifecycle:
@@ -197,10 +197,10 @@ class TestDrainResume:
         # run chunk 1 into the job's journal, exactly as the runner
         # would have before the stop flag fired.
         program = assemble(sum_loop_src, name=job.spec.name)
-        specs = [parse_fault_token(program, token, branch="loop")
+        specs = [parse_fault_token(program, token, branch="loop+12")
                  for token in ten_faults]
         CampaignJournal(job.journal_path).append_header(
-            inject_header("edgcf", "allbb", "interp"))
+            inject_header(program, PipelineConfig("dbt", "edgcf")))
         checks = [0]
 
         def stop_after_first_chunk():
@@ -227,7 +227,7 @@ class TestDrainResume:
         source.write_text(sum_loop_src)
         cli_journal = tmp_path / "cli.jsonl"
         argv = ["inject", str(source), "-t", "edgcf",
-                "--branch", "loop", "--journal", str(cli_journal)]
+                "--branch", "loop+12", "--journal", str(cli_journal)]
         for token in ten_faults:
             argv += ["--fault", token]
         assert main(argv) == 0

@@ -187,10 +187,75 @@ class TestInject:
         # a resume with a different backend must be refused
         assert main(args + ["--resume", "--backend", "block"]) == 2
 
+    def test_fault_at_a_non_branch_refused(self, demo_file):
+        # the default --branch 0 lies outside the text section, and
+        # "loop" holds an add: neither fault could ever fire
+        with pytest.raises(SystemExit, match="no branch instruction"):
+            main(["inject", demo_file, "--fault", "offset:3"])
+        with pytest.raises(SystemExit, match="no branch instruction"):
+            main(["inject", demo_file, "--branch", "loop",
+                  "--fault", "direction"])
+
     def test_retries_and_timeout_flags(self, demo_file):
         assert main(["inject", demo_file, "-t", "rcf",
                      "--branch", "loop+12", "--fault", "direction",
                      "--retries", "1", "--timeout", "30"]) == 0
+
+
+class TestJournalIdentity:
+    """A ``--resume`` must continue the campaign the journal recorded."""
+
+    def test_mixed_inject_resume_refused(self, demo_file, tmp_path,
+                                         capsys):
+        journal = tmp_path / "inject.jsonl"
+        args = ["inject", demo_file, "--branch", "loop+12",
+                "--fault", "offset:3", "--journal", str(journal)]
+        assert main(args + ["-t", "rcf"]) == 0
+        before = journal.read_bytes()
+        capsys.readouterr()
+        assert main(args + ["-t", "edgcf", "--recover",
+                            "--resume"]) == 2
+        assert "recorded by a different campaign" in \
+            capsys.readouterr().err
+        assert journal.read_bytes() == before
+
+    def test_coverage_resume_with_another_seed_refused(
+            self, demo_file, tmp_path, capsys):
+        journal = tmp_path / "coverage.jsonl"
+        args = ["coverage", demo_file, "--per-category", "2",
+                "--no-cache-level", "--journal", str(journal)]
+        assert main(args + ["--seed", "1"]) == 0
+        before = journal.read_bytes()
+        assert main(args + ["--seed", "2", "--resume"]) == 2
+        assert "seed: journal=1 vs 2" in capsys.readouterr().err
+        assert journal.read_bytes() == before
+
+    def test_header_without_identity_keys_still_resumes(
+            self, demo_file, tmp_path, capsys):
+        journal = tmp_path / "inject.jsonl"
+        args = ["inject", demo_file, "-t", "edgcf", "--branch",
+                "loop+12", "--fault", "offset:0", "--fault", "flag:0",
+                "--journal", str(journal)]
+        assert main(args) == 0
+        first = capsys.readouterr().out
+        lines = journal.read_text().splitlines(keepends=True)
+        entry = json.loads(lines[0])
+        del entry["header"]["program"], entry["header"]["config"]
+        lines[0] = json.dumps(entry, separators=(",", ":")) + "\n"
+        journal.write_text("".join(lines))
+        before = journal.read_bytes()
+        assert main(args + ["--resume"]) == 0
+        assert capsys.readouterr().out == first
+        assert journal.read_bytes() == before   # chunks replayed
+
+
+class TestEmptyProgram:
+    @pytest.mark.parametrize("command", ["run", "coverage"])
+    def test_refused_with_one_line(self, tmp_path, command):
+        path = tmp_path / "empty.s"
+        path.write_text(".entry main\nmain:\n")
+        with pytest.raises(SystemExit, match="has no code"):
+            main([command, str(path)])
 
 
 class TestAnalysis:

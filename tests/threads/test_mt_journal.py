@@ -22,7 +22,7 @@ MT_FLAGS = ["--threads", "--quantum", "97", "--sched-seed", "3"]
 
 def inject(mt_file, journal, *extra):
     return main(["inject", mt_file, "-t", "ecf", "--branch",
-                 "worker+28", "--fault", "direction", "--journal",
+                 "worker+68", "--fault", "direction", "--journal",
                  journal, *MT_FLAGS, *extra])
 
 
@@ -42,7 +42,7 @@ class TestJournalHeader:
                                               capsys):
         journal = str(tmp_path / "st.jsonl")
         assert main(["inject", mt_file, "-t", "ecf", "--branch",
-                     "worker+28", "--fault", "direction",
+                     "worker+68", "--fault", "direction",
                      "--journal", journal]) == 0
         header = json.loads(open(journal).readline())["header"]
         assert "threads" not in header
@@ -71,12 +71,12 @@ class TestResumeGuard:
         assert inject(mt_file, journal) == 0
         capsys.readouterr()
         argv = (["inject", mt_file, "-t", "ecf", "--branch",
-                 "worker+28", "--fault", "direction", "--journal",
+                 "worker+68", "--fault", "direction", "--journal",
                  journal, "--resume", "--threads"]
                 + _merge(mismatch))
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert "different scheduler parameters" in err
+        assert "recorded by a different campaign" in err
 
     def test_resume_without_threads_on_mt_journal_refused(
             self, mt_file, tmp_path, capsys):
@@ -84,9 +84,9 @@ class TestResumeGuard:
         assert inject(mt_file, journal) == 0
         capsys.readouterr()
         assert main(["inject", mt_file, "-t", "ecf", "--branch",
-                     "worker+28", "--fault", "direction", "--journal",
+                     "worker+68", "--fault", "direction", "--journal",
                      journal, "--resume"]) == 2
-        assert "different scheduler parameters" in \
+        assert "recorded by a different campaign" in \
             capsys.readouterr().err
 
 
@@ -110,7 +110,7 @@ class TestJobsIndependence:
         for jobs in (1, 2):
             journal = str(tmp_path / f"j{jobs}.jsonl")
             assert main(["inject", mt_file, "-t", "ecf", "--branch",
-                         "worker+28", "--fault", "direction",
+                         "worker+68", "--fault", "direction",
                          "--fault", "offset:3", "--fault", "flag:1",
                          "--journal", journal, "--jobs", str(jobs),
                          *MT_FLAGS]) in (0, 1)
