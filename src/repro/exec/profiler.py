@@ -1,11 +1,11 @@
 """Guest hot-block profiler: per-block icount/cycle attribution.
 
 Answers "where does this workload spend its guest cycles?" without
-touching the interpreter hot loop: the profiler rides the existing
-``cpu.branch_profiler`` slot (free when unused, one ``is None`` check
-per *branch*, never per instruction) and attributes the instruction
-and cycle deltas since the previous branch to the block that the
-branch terminates.
+touching the interpreter hot loop: the profiler is a ``Cpu.attach``
+observer (one ``is None`` check per *branch* when nothing is attached,
+never per instruction) and attributes the instruction and cycle
+deltas since the previous branch to the block that the branch
+terminates.
 
 Attribution model
 -----------------
@@ -64,11 +64,9 @@ class BlockProfile:
 class HotBlockProfiler:
     """Accumulates per-block guest cost during a run.
 
-    Chain discipline (shared with the forensics flight recorder): the
-    profiler saves whatever already occupies ``cpu.branch_profiler``
-    on :meth:`attach`, forwards every ``record`` to it, and restores
-    it on :meth:`finish` — a branch-statistics profiler and the
-    hot-block profiler can ride the same run.
+    :meth:`attach` puts it on the CPU's branch events next to any other
+    observer (a branch-statistics profiler, the flight recorder) and
+    :meth:`finish` takes it off again.
     """
 
     def __init__(self) -> None:
@@ -78,7 +76,6 @@ class HotBlockProfiler:
         self.total_icount = 0
         self.total_cycles = 0
         self._cpu: Cpu | None = None
-        self._chained = None
         self._last_icount = 0
         self._last_cycles = 0
         self._base_icount = 0
@@ -88,14 +85,11 @@ class HotBlockProfiler:
         if self._cpu is not None:
             raise RuntimeError("profiler already attached")
         self._cpu = cpu
-        self._chained = cpu.branch_profiler
-        cpu.branch_profiler = self
+        cpu.attach(self)
         self._last_icount = self._base_icount = cpu.icount
         self._last_cycles = self._base_cycles = cpu.cycles
 
     def record(self, pc: int, instr, taken: bool, flags: int) -> None:
-        if self._chained is not None:
-            self._chained.record(pc, instr, taken, flags)
         cpu = self._cpu
         icount = cpu.icount
         # The handler adds the taken penalty right after this call;
@@ -124,9 +118,8 @@ class HotBlockProfiler:
             cell[2] += 1
         self.total_icount = cpu.icount - self._base_icount
         self.total_cycles = cpu.cycles - self._base_cycles
-        cpu.branch_profiler = self._chained
+        cpu.detach(self)
         self._cpu = None
-        self._chained = None
 
     def mapped(self, reverse_addr_map: dict[int, int]
                ) -> "HotBlockProfiler":

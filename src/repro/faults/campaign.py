@@ -75,6 +75,13 @@ class Outcome(enum.Enum):
     RECOVERY_FAILED = "recovery_failed"
 
 
+#: The outcomes that count as detected.  A recovery run, successful or
+#: not, started with a detection.
+DETECTED_OUTCOMES = frozenset({
+    Outcome.DETECTED_SIGNATURE, Outcome.DETECTED_HARDWARE,
+    Outcome.RECOVERED, Outcome.RECOVERY_FAILED})
+
+
 @dataclass
 class RunRecord:
     """Result of one (possibly fault-injected) run."""
@@ -654,7 +661,7 @@ def _profile_program(program: Program, max_steps: int, mt=None):
         from repro.threads import ThreadedMachine
         cpu = Cpu()
         cpu.load_program(program, executable_text=True)
-        cpu.branch_profiler = profiler
+        cpu.attach(profiler)
         machine = ThreadedMachine(cpu, quantum=mt.quantum,
                                   policy=mt.sched_policy,
                                   seed=mt.sched_seed)
@@ -863,12 +870,7 @@ class CampaignResult:
         bucket = self.outcomes.get(category)
         if not bucket:
             return 0.0
-        detected = (bucket[Outcome.DETECTED_SIGNATURE]
-                    + bucket[Outcome.DETECTED_HARDWARE]
-                    # A recovery run (successful or not) started with a
-                    # detection: it counts towards coverage either way.
-                    + bucket.get(Outcome.RECOVERED, 0)
-                    + bucket.get(Outcome.RECOVERY_FAILED, 0))
+        detected = sum(bucket.get(o, 0) for o in DETECTED_OUTCOMES)
         harmful = detected + bucket[Outcome.SDC] + bucket[Outcome.HANG]
         return detected / harmful if harmful else 1.0
 
@@ -933,10 +935,7 @@ class DataFaultCampaignResult:
 
     @property
     def detected(self) -> int:
-        return (self.outcomes.get(Outcome.DETECTED_SIGNATURE, 0)
-                + self.outcomes.get(Outcome.DETECTED_HARDWARE, 0)
-                + self.outcomes.get(Outcome.RECOVERED, 0)
-                + self.outcomes.get(Outcome.RECOVERY_FAILED, 0))
+        return sum(self.outcomes.get(o, 0) for o in DETECTED_OUTCOMES)
 
     @property
     def infra(self) -> int:

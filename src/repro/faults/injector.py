@@ -149,13 +149,16 @@ class _HookBase:
         """Install again after a recovery rollback (persistent faults)."""
         self.install()
 
+    def install(self) -> None:
+        """Attach to the watched CPU (again after a rollback: attaching
+        is idempotent)."""
+        self.cpu.attach(self)
+
     def _retire(self, cpu: Cpu) -> None:
-        """Uninstall a fired hook: it is a permanent no-op from here on,
+        """Detach a fired hook: it is a permanent no-op from here on,
         and an empty hook slot lets compiled backends run branches at
-        full speed.  Only when installed directly — the flight recorder
-        chains hooks, and clearing its slot would silence the trace."""
-        if cpu.pre_branch_hook == self.hook:
-            cpu.pre_branch_hook = None
+        full speed."""
+        cpu.detach(self)
 
 
 class NativeInjector(_HookBase):
@@ -179,9 +182,6 @@ class NativeInjector(_HookBase):
         site = spec.branch_pc if site_map is None else site_map(
             spec.branch_pc)
         self.armed_site = site
-
-    def install(self) -> None:
-        self.cpu.pre_branch_hook = self.hook
 
     @staticmethod
     def _natural_direction(cpu: Cpu, instr: Instruction) -> bool:
@@ -268,6 +268,7 @@ class DbtInjector(_HookBase):
     def __init__(self, spec: FaultSpec, dbt):
         super().__init__(spec)
         self.dbt = dbt
+        self.cpu = dbt.cpu
         self._redirect_target: int | None = None
         #: every cache site standing in for the guest branch.  One
         #: guest branch can be translated several times (overlapping
@@ -276,9 +277,6 @@ class DbtInjector(_HookBase):
         self._sites: set[int] = set()
         self._known_translations = -1
         dbt.inject_redirect = self._redirect
-
-    def install(self) -> None:
-        self.dbt.cpu.pre_branch_hook = self.hook
 
     def arm(self, count: int, mark) -> None:
         """Install on a session restored at a golden-timeline ``mark``
@@ -516,9 +514,7 @@ class CacheLevelInjector(_HookBase):
     def __init__(self, spec: CacheFaultSpec, dbt):
         super().__init__(spec)
         self.dbt = dbt
-
-    def install(self) -> None:
-        self.dbt.cpu.pre_branch_hook = self.hook
+        self.cpu = dbt.cpu
 
     def arm(self, count: int, mark=None) -> None:
         """Install on a session restored at a golden-timeline mark

@@ -22,7 +22,8 @@ from repro.isa.encoding import BRANCH_OFFSET_BITS
 from repro.isa.flags import NUM_FLAG_BITS
 from repro.isa.program import Program
 from repro.machine import BranchProfiler, StopReason, run_native
-from repro.faults.campaign import (Outcome, Pipeline, PipelineConfig)
+from repro.faults.campaign import (DETECTED_OUTCOMES, Outcome, Pipeline,
+                                   PipelineConfig)
 from repro.faults.injector import FaultSpec, FlagBitFault, OffsetBitFault
 
 
@@ -49,8 +50,7 @@ class EffectivenessResult:
 
     @property
     def detected_rate(self) -> float:
-        return (self.rate(Outcome.DETECTED_SIGNATURE)
-                + self.rate(Outcome.DETECTED_HARDWARE))
+        return sum(self.rate(o) for o in DETECTED_OUTCOMES)
 
     @property
     def unreported_harm_rate(self) -> float:

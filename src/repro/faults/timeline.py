@@ -161,7 +161,7 @@ class GoldenTimeline:
             dbt = self._dbt = self._new_session()
             # the copy-on-write journal doubles as the written-page log
             dbt.cpu.memory.cow = {}
-            dbt.cpu.pre_branch_hook = self._record
+            dbt.cpu.attach(self)
         result = dbt._run(STRIDE, None)
         self.icount = dbt.cpu.icount
         if result.stop.reason is not StopReason.STEP_LIMIT:
@@ -193,7 +193,7 @@ class GoldenTimeline:
             self.marks = [mark for mark in self.marks
                           if mark.steps % self.spacing == 0]
 
-    def _record(self, cpu, pc, instr):
+    def hook(self, cpu, pc, instr):
         """Recording pre-branch hook: never alters the branch."""
         dbt = self._dbt
         count = len(dbt.blocks) + len(dbt._suffixes)

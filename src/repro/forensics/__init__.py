@@ -5,8 +5,8 @@ SDC"; this package answers the paper's questions about *one* run:
 
 * :mod:`repro.forensics.recorder` — a **flight recorder**: a cheap
   ring of block-entry events (pc, icount, cycles) plus periodic
-  architectural-state checkpoints, installed in the interpreter's free
-  ``branch_profiler`` hook slot so an unobserved run pays nothing;
+  architectural-state checkpoints, attached as a ``Cpu`` branch
+  observer so an unobserved run pays nothing;
 * :mod:`repro.forensics.divergence` — a **golden-divergence
   analyzer**: replay a fault spec side by side with the golden trace,
   locate the first divergent block entry, and emit a structured

@@ -1,11 +1,11 @@
 """The flight recorder: block-entry events + periodic state checkpoints.
 
-The recorder installs itself in the CPU's ``branch_profiler`` slot —
-the same free hook the observability branch counter uses — so it sees
-every *direct* branch execution: the control-flow skeleton of the run,
-at block granularity, with no new conditional anywhere in the
-interpreter hot loop.  A run with no recorder attached executes exactly
-the code it always did (``cpu.branch_profiler is None``).
+The recorder is a ``Cpu.attach`` observer with a ``record`` method —
+like the observability branch counter — so it sees every *direct*
+branch execution: the control-flow skeleton of the run, at block
+granularity, with no new conditional anywhere in the interpreter hot
+loop.  A run with no recorder attached executes exactly the code it
+always did (``cpu.branch_profiler is None``).
 
 Two streams are captured:
 
@@ -68,12 +68,8 @@ class Checkpoint:
 
 
 class FlightRecorder:
-    """Ring of block-entry events plus periodic state checkpoints.
-
-    Installs in the ``branch_profiler`` slot; an existing profiler is
-    chained (both observe the stream), mirroring
-    :class:`repro.machine.trace.Tracer`'s hook discipline.
-    """
+    """Ring of block-entry events plus periodic state checkpoints,
+    attached to a CPU next to any other branch observer."""
 
     def __init__(self, capacity: int | None = DEFAULT_CAPACITY,
                  checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
@@ -83,25 +79,20 @@ class FlightRecorder:
         self.checkpoint_interval = max(1, checkpoint_interval)
         self.signature_regs = signature_regs
         self._cpu = None
-        self._chained = None
         self._since_checkpoint = 0
 
     # -- installation -----------------------------------------------------
 
     def attach(self, cpu) -> None:
-        """Install on ``cpu``; chains any profiler already there."""
         self._cpu = cpu
-        self._chained = cpu.branch_profiler
-        cpu.branch_profiler = self
+        cpu.attach(self)
 
     def detach(self) -> None:
-        """Restore the chained profiler (if the slot is still ours)."""
-        if self._cpu is not None and self._cpu.branch_profiler is self:
-            self._cpu.branch_profiler = self._chained
+        if self._cpu is not None:
+            self._cpu.detach(self)
         self._cpu = None
-        self._chained = None
 
-    # -- the profiler-slot protocol ---------------------------------------
+    # -- the observer protocol ----------------------------------------------
 
     def record(self, pc: int, instr, taken: bool, flags: int) -> None:
         cpu = self._cpu
@@ -111,8 +102,6 @@ class FlightRecorder:
         if self._since_checkpoint >= self.checkpoint_interval:
             self._since_checkpoint = 0
             self._take_checkpoint(pc)
-        if self._chained is not None:
-            self._chained.record(pc, instr, taken, flags)
 
     def _take_checkpoint(self, pc: int) -> None:
         cpu = self._cpu

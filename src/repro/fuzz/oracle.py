@@ -495,7 +495,7 @@ def enumerate_detection_specs(program: Program, claimed,
     trace = _SiteTrace()
     cpu = Cpu()
     cpu.load_program(program, executable_text=True)
-    cpu.branch_profiler = trace
+    cpu.attach(trace)
     stop = cpu.run(max_steps=_MAX_STEPS)
     if stop.reason is not StopReason.HALTED or cpu.exit_code != 0:
         raise OracleError(f"profiling run failed: {stop}")

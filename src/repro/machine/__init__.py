@@ -40,7 +40,7 @@ def run_native(program, max_steps: int = 50_000_000,
     install_backend(cpu, backend)
     cpu.load_program(program, executable_text=True)
     if profiler is not None:
-        cpu.branch_profiler = profiler
+        cpu.attach(profiler)
     with obs.span("interp.run",
                   program=getattr(program, "source_name", "?")):
         stop = cpu.run(max_steps=max_steps)

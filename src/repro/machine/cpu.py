@@ -463,11 +463,37 @@ def _build_dispatch() -> list:
 DISPATCH: list = _build_dispatch()
 
 
+def _hook_fanout(hooks: tuple):
+    """One pre-branch hook standing for several, run in attach order;
+    each sees the instruction as rewritten by the hooks before it."""
+    def hook(cpu, pc, instr):
+        replaced = None
+        for each in hooks:
+            replacement = each(cpu, pc, instr)
+            if replacement is not None:
+                instr = replaced = replacement
+        return replaced
+    return hook
+
+
+class _RecordFanout:
+    """One branch profiler standing for several, run in attach order."""
+
+    __slots__ = ("records",)
+
+    def __init__(self, records: tuple):
+        self.records = records
+
+    def record(self, pc, instr, taken, flags) -> None:
+        for record in self.records:
+            record(pc, instr, taken, flags)
+
+
 class _ObsBranchCounter:
-    """Branch-mix tally installed in the profiler slot while a metrics
-    registry is active and the slot is otherwise free.  ``check_sites``
-    (the DBT's set of emitted CHECK_SIG branch addresses) additionally
-    counts signature checks actually executed."""
+    """Branch-mix tally attached for each run while a metrics registry
+    is active.  ``check_sites`` (the DBT's set of emitted CHECK_SIG
+    branch addresses) additionally counts signature checks actually
+    executed."""
 
     __slots__ = ("taken", "not_taken", "checks", "check_sites")
 
@@ -507,11 +533,16 @@ class Cpu:
         self.syscall_trace: list | None = None
         #: set by the CFC_ERROR syscall when an instrumented check fires
         self.cfc_error: bool = False
-        #: fault-injection hook: called as hook(cpu, pc, instr) before a
-        #: branch executes; may return a replacement Instruction.
+        #: branch observers in attach order (see :meth:`attach`)
+        self._observers: list = []
+        #: derived from the observers' ``hook`` methods on every attach
+        #: and detach: called as hook(cpu, pc, instr) before a branch
+        #: executes; may return a replacement Instruction.  None while
+        #: no observer has a ``hook``.
         self.pre_branch_hook = None
-        #: profiling hook: called as profiler.record(pc, instr, taken,
-        #: flags) after every direct branch resolves.
+        #: derived from the observers' ``record`` methods likewise:
+        #: profiler.record(pc, instr, taken, flags) is called after every
+        #: direct branch resolves.  None while no observer has one.
         self.branch_profiler = None
         #: chained external write watcher (the DBT's SMC detector)
         self._external_write_watch = None
@@ -568,6 +599,41 @@ class Cpu:
         self.pc = program.entry
         self.regs[15] = STACK_TOP - 16  # sp
         self._dcache.clear()
+
+    def attach(self, observer) -> None:
+        """Put ``observer`` on this CPU's branch events.
+
+        An observer has ``hook(cpu, pc, instr)`` (before every branch;
+        may return a replacement instruction), ``record(pc, instr,
+        taken, flags)`` (after every direct branch resolves), or both.
+        Observers run in attach order.  Attaching an attached observer
+        changes nothing.
+        """
+        if not any(each is observer for each in self._observers):
+            self._observers.append(observer)
+            self._derive_slots()
+
+    def detach(self, observer) -> None:
+        """Take ``observer`` off (a no-op if it is not attached)."""
+        kept = [each for each in self._observers if each is not observer]
+        if len(kept) != len(self._observers):
+            self._observers = kept
+            self._derive_slots()
+
+    def _derive_slots(self) -> None:
+        # Once per attach/detach, never per branch: the hot paths test
+        # the two slots against None and call them directly.
+        hooks = [each.hook for each in self._observers
+                 if hasattr(each, "hook")]
+        recorders = [each for each in self._observers
+                     if hasattr(each, "record")]
+        if len(hooks) > 1:
+            hooks = [_hook_fanout(tuple(hooks))]
+        if len(recorders) > 1:
+            recorders = [_RecordFanout(
+                tuple(each.record for each in recorders))]
+        self.pre_branch_hook = hooks[0] if hooks else None
+        self.branch_profiler = recorders[0] if recorders else None
 
     def set_external_write_watch(self, watch) -> None:
         """Chain a second write watcher (used by the DBT for SMC)."""
@@ -630,10 +696,8 @@ class Cpu:
     def _run_observed(self, registry, max_steps: int,
                       max_cycles: int | None) -> StopInfo:
         """Hot loop plus instruction/cycle/branch-mix accounting."""
-        branch_counter = None
-        if self.branch_profiler is None:
-            branch_counter = _ObsBranchCounter(self.obs_check_sites)
-            self.branch_profiler = branch_counter
+        branch_counter = _ObsBranchCounter(self.obs_check_sites)
+        self.attach(branch_counter)
         icount_before = self.icount
         cycles_before = self.cycles
         try:
@@ -649,24 +713,22 @@ class Cpu:
                 "interp_cycles_total",
                 help="model cycles charged").inc(
                 self.cycles - cycles_before)
-            if branch_counter is not None:
-                self.branch_profiler = None
-                if branch_counter.taken:
-                    registry.counter(
-                        "interp_branches_total",
-                        help="direct branches executed",
-                        direction="taken").inc(branch_counter.taken)
-                if branch_counter.not_taken:
-                    registry.counter(
-                        "interp_branches_total",
-                        help="direct branches executed",
-                        direction="not_taken").inc(
-                        branch_counter.not_taken)
-                if branch_counter.checks:
-                    registry.counter(
-                        "dbt_checks_executed_total",
-                        help="signature-check branches executed").inc(
-                        branch_counter.checks)
+            self.detach(branch_counter)
+            if branch_counter.taken:
+                registry.counter(
+                    "interp_branches_total",
+                    help="direct branches executed",
+                    direction="taken").inc(branch_counter.taken)
+            if branch_counter.not_taken:
+                registry.counter(
+                    "interp_branches_total",
+                    help="direct branches executed",
+                    direction="not_taken").inc(branch_counter.not_taken)
+            if branch_counter.checks:
+                registry.counter(
+                    "dbt_checks_executed_total",
+                    help="signature-check branches executed").inc(
+                    branch_counter.checks)
 
     def _run_loop(self, max_steps: int,
                   max_cycles: int | None) -> StopInfo:

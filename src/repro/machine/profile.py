@@ -50,7 +50,7 @@ class BranchStats:
 class BranchProfiler:
     """Accumulates per-branch dynamic statistics during a run.
 
-    Install on a CPU via ``cpu.branch_profiler = profiler``.  Only direct
+    Install on a CPU via ``cpu.attach(profiler)``.  Only direct
     branches with an encoded offset are recorded; indirect branches are
     excluded from the error model exactly as in the paper ("we simplify
     the analysis by not accounting the errors in these branches").

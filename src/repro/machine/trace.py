@@ -1,74 +1,19 @@
-"""Execution tracing for debugging translated and instrumented code.
+"""Instruction-level execution traces for debugging short windows.
 
-A :class:`Tracer` records the last N executed branch events (the
-interesting control-flow skeleton — tracing every instruction through
-the pre-branch hook would miss non-branches anyway, and full tracing
-belongs in a debugger, not a hot loop).  For full instruction-level
-traces over short windows, :func:`trace_run` single-steps a CPU and
-captures everything.
-
-Typical debugging session::
-
-    tracer = Tracer(capacity=64)
-    dbt = Dbt(program, technique=EdgCF())
-    tracer.attach(dbt.cpu)
-    result = dbt.run()
-    print(tracer.format(symbols=program.symbols))
+:func:`trace_run` single-steps a CPU and captures every executed
+instruction; :func:`format_trace` renders the result.  To watch only
+the branches of a longer run, attach an observer with ``Cpu.attach``
+(the forensics flight recorder is one).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from repro.isa.disassembler import format_instruction
 from repro.isa.instruction import Instruction
 from repro.machine.cpu import Cpu
 from repro.machine.faults import StopInfo
-
-
-@dataclass(frozen=True)
-class BranchEvent:
-    """One recorded branch execution."""
-
-    pc: int
-    instr: Instruction
-
-    def format(self, by_address: dict[int, str] | None = None) -> str:
-        where = (by_address or {}).get(self.pc)
-        prefix = f"{where}: " if where else ""
-        return (f"{prefix}{self.pc:#08x}  "
-                f"{format_instruction(self.instr, self.pc)}")
-
-
-class Tracer:
-    """Ring buffer of the most recent branch executions."""
-
-    def __init__(self, capacity: int = 64):
-        self.events: deque[BranchEvent] = deque(maxlen=capacity)
-        self._chained_hook = None
-
-    def attach(self, cpu: Cpu) -> None:
-        """Install on a CPU; chains any existing pre-branch hook (e.g.
-        a fault injector) so both observe the stream."""
-        self._chained_hook = cpu.pre_branch_hook
-        cpu.pre_branch_hook = self._hook
-
-    def _hook(self, cpu: Cpu, pc: int, instr: Instruction):
-        self.events.append(BranchEvent(pc=pc, instr=instr))
-        if self._chained_hook is not None:
-            return self._chained_hook(cpu, pc, instr)
-        return None
-
-    def format(self, symbols: dict[str, int] | None = None) -> str:
-        by_address = {}
-        if symbols:
-            by_address = {addr: name for name, addr in symbols.items()}
-        return "\n".join(event.format(by_address)
-                         for event in self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
 
 
 @dataclass

@@ -6,6 +6,8 @@ callbacks — with the only difference being wall-clock.  These tests
 drive both backends over the same programs and diff everything.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.exec import (BACKEND_NAMES, InterpBackend, create_backend,
@@ -152,9 +154,9 @@ class TestHookParity:
         for backend in BACKEND_NAMES:
             calls = []
             cpu = _fresh(program, backend)
-            cpu.pre_branch_hook = (
-                lambda c, pc, instr: calls.append(
-                    (pc, c.icount, c.cycles, instr.op)))
+            cpu.attach(SimpleNamespace(
+                hook=lambda c, pc, instr: calls.append(
+                    (pc, c.icount, c.cycles, instr.op))))
             stop = cpu.run(max_steps=MAX_STEPS)
             streams.append((calls, _state(cpu, stop)))
         assert streams[0] == streams[1]
@@ -165,7 +167,7 @@ class TestHookParity:
         for backend in BACKEND_NAMES:
             profiler = BranchProfiler()
             cpu = _fresh(program, backend)
-            cpu.branch_profiler = profiler
+            cpu.attach(profiler)
             cpu.run(max_steps=MAX_STEPS)
             profiles.append({pc: (s.executions, s.taken)
                              for pc, s in profiler.branches.items()})
@@ -184,7 +186,7 @@ class TestHookParity:
         for backend in BACKEND_NAMES:
             cpu = _fresh(program, backend)
             profiler = BranchProfiler()
-            cpu.branch_profiler = profiler
+            cpu.attach(profiler)
             cpu.run(max_steps=MAX_STEPS)
             executed = [pc for pc, s in profiler.branches.items()
                         if s.executions > 2 and s.instr.meta.cond]
@@ -205,7 +207,7 @@ class TestHookParity:
         program = load("254.gap", "test")
         profiler = BranchProfiler()
         cpu = _fresh(program, "interp")
-        cpu.branch_profiler = profiler
+        cpu.attach(profiler)
         cpu.run(max_steps=MAX_STEPS)
         site = sorted(pc for pc, s in profiler.branches.items()
                       if s.executions > 2 and s.instr.meta.cond)[0]
@@ -214,14 +216,18 @@ class TestHookParity:
                                             DirectionFault(taken=None)),
                                   program, cpu)
         injector.install()
+        watcher = BranchProfiler()
+        cpu.attach(watcher)
         cpu.run(max_steps=MAX_STEPS)
         assert injector.fired
-        assert cpu.pre_branch_hook is None  # retired after firing
+        # retired after firing, even with another observer attached
+        assert cpu.pre_branch_hook is None
+        assert cpu.branch_profiler is watcher
 
     def test_hooked_mode_uses_unfolded_blocks(self):
         program = load("254.gap", "test")
         cpu = _fresh(program, "block")
-        cpu.pre_branch_hook = lambda c, pc, instr: None
+        cpu.attach(SimpleNamespace(hook=lambda c, pc, instr: None))
         cpu.run(max_steps=MAX_STEPS)
         backend = cpu.backend
         assert backend.hooked_blocks and not backend.blocks

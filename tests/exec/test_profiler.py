@@ -77,12 +77,12 @@ class TestChaining:
         from repro.machine import Cpu
         cpu = Cpu()
         cpu.load_program(program, executable_text=True)
-        cpu.branch_profiler = chained
+        cpu.attach(chained)
         hot = HotBlockProfiler()
         hot.attach(cpu)
         cpu.run(max_steps=MAX_STEPS)
         hot.finish()
-        assert cpu.branch_profiler is chained  # restored
+        assert cpu.branch_profiler is chained  # the only one left
         assert chained.total_executions == baseline.total_executions
         assert {pc: (s.taken, s.not_taken)
                 for pc, s in chained.branches.items()} == \

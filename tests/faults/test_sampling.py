@@ -84,3 +84,14 @@ class TestEffectiveness:
         model = compute_error_model(gap)
         benign = results["none"].rate(Outcome.BENIGN)
         assert abs(benign - model.probability(Category.NO_ERROR)) < 0.25
+
+    def test_recovered_runs_count_as_detected(self, gap):
+        # With rollback recovery every detection ends RECOVERED (or
+        # RECOVERY_FAILED); the detected rate must not depend on it.
+        plain, recovered = (
+            run_effectiveness_campaign(
+                gap, PipelineConfig("static", "edgcf", recover=recover),
+                count=40, seed=3)
+            for recover in (False, True))
+        assert recovered.outcomes.get(Outcome.RECOVERED, 0) > 0
+        assert recovered.detected_rate == plain.detected_rate > 0

@@ -37,7 +37,7 @@ class TestHookDiscipline:
         cpu = Cpu()
         cpu.load_program(sum_loop)
         profiler = BranchProfiler()
-        cpu.branch_profiler = profiler
+        cpu.attach(profiler)
         recorder = FlightRecorder()
         recorder.attach(cpu)
         cpu.run(max_steps=100_000)
@@ -46,6 +46,22 @@ class TestHookDiscipline:
             stats.executions for stats in profiler.branches.values())
         recorder.detach()
         assert cpu.branch_profiler is profiler
+
+    def test_detach_in_attach_order_leaves_cpu_clear(self, sum_loop):
+        # Detaching the recorder first, then a profiler attached after
+        # it, must not put the detached recorder back on the CPU.
+        from repro.exec.profiler import HotBlockProfiler
+        cpu = Cpu()
+        cpu.load_program(sum_loop)
+        recorder = FlightRecorder()
+        recorder.attach(cpu)
+        hot = HotBlockProfiler()
+        hot.attach(cpu)
+        recorder.detach()
+        hot.finish()
+        assert cpu.branch_profiler is None
+        stop = cpu.run(max_steps=100_000)
+        assert stop.reason is StopReason.HALTED
 
 
 class TestEvents:

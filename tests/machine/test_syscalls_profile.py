@@ -77,7 +77,7 @@ class TestBranchProfiler:
         profiler = BranchProfiler()
         cpu = Cpu()
         cpu.load_program(assemble("jmp next\nnext: halt"))
-        cpu.branch_profiler = profiler
+        cpu.attach(profiler)
         cpu.run()
         [stats] = profiler.branches.values()
         assert stats.taken == 1 and stats.not_taken == 0
@@ -100,6 +100,6 @@ class TestBranchProfiler:
         cpu = Cpu()
         cpu.load_program(assemble(
             "movi r1, 0\njrz r1, done\nnop\ndone: halt"))
-        cpu.branch_profiler = profiler
+        cpu.attach(profiler)
         cpu.run()
         assert any(s.taken for s in profiler.branches.values())

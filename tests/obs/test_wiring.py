@@ -5,9 +5,12 @@ is touched without an installed registry), and a parallel campaign's
 merged registry matches a serial run's totals exactly.
 """
 
+import pytest
+
 from repro import obs
 from repro.checking import EdgCF
 from repro.dbt import Dbt
+from repro.exec import install_backend
 from repro.isa import assemble
 from repro.machine import Cpu, run_native
 from repro.obs.metrics import MetricsRegistry
@@ -94,9 +97,39 @@ class TestInterpreter:
         assert cpu.branch_profiler is profiler
         assert sum(stats.executions
                    for stats in profiler.branches.values()) == 10
-        # branch-mix counters are unavailable, but instructions are not
+        # the branch mix is counted next to the attached profiler
+        assert counter_value(registry, "interp_branches_total",
+                             direction="taken") == 9
+        assert counter_value(registry, "interp_branches_total",
+                             direction="not_taken") == 1
         assert counter_value(
             registry, "interp_instructions_total") == cpu.icount
+
+    @pytest.mark.parametrize("backend", ["interp", "block"])
+    @pytest.mark.parametrize("observer", ["branch", "hot", "recorder"])
+    def test_branch_mix_independent_of_observers(self, backend, observer):
+        from repro.exec.profiler import HotBlockProfiler
+        from repro.forensics import FlightRecorder
+        from repro.machine.profile import BranchProfiler
+        program = assemble(LOOP)
+        totals = []
+        for attached in (False, True):
+            registry, _ = install()
+            cpu = Cpu()
+            install_backend(cpu, backend)
+            cpu.load_program(program)
+            if attached and observer == "branch":
+                cpu.attach(BranchProfiler())
+            elif attached:
+                watcher = (HotBlockProfiler() if observer == "hot"
+                           else FlightRecorder())
+                watcher.attach(cpu)
+            cpu.run()
+            totals.append(tuple(
+                counter_value(registry, "interp_branches_total",
+                              direction=direction)
+                for direction in ("taken", "not_taken")))
+        assert totals == [(9, 1), (9, 1)]
 
     def test_interp_span_recorded(self):
         _, recorder = install()
