@@ -37,8 +37,8 @@ Commands
                 locally or in the service) as Chrome trace-event JSON
                 for Perfetto / ``chrome://tracing``
 
-``run``, ``inject``, ``verify`` and ``coverage`` accept ``--metrics
-PATH`` and ``--trace PATH`` to capture telemetry (see
+``run``, ``inject``, ``verify``, ``coverage`` and ``fuzz`` accept
+``--metrics PATH`` to capture telemetry (see
 ``docs/observability.md``); everything else runs with observability
 off, which costs nothing.  ``inject`` and ``coverage`` accept
 ``--forensics[=N]`` to replay up to N sampled escapes through the
@@ -748,9 +748,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="write a metrics snapshot on exit (.prom Prometheus "
                  "text, .jsonl event log, anything else the JSON "
                  "snapshot `repro stats` reads)")
-        p.add_argument(
-            "--trace", default=None, metavar="PATH",
-            help="stream finished spans to this JSONL event log")
 
     def common_exec(p):
         p.add_argument("file", help="assembly source file")
@@ -1103,8 +1100,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     from repro.faults.journal import JournalMismatch
     try:
-        with obs.session(getattr(args, "metrics", None),
-                         getattr(args, "trace", None)):
+        with obs.session(getattr(args, "metrics", None)):
             return args.func(args)
     except JournalMismatch as exc:
         # --resume of a journal another campaign recorded

@@ -183,15 +183,11 @@ class BlockTranslator:
         and GEN_SIG at the exit is computed as if still inside the
         owner, exactly like the tail of the owner's own translation.
         """
+        with obs.span("dbt.translate", guest=block.start):
+            tb = self._translate(block, instrument_entry, owner_start)
         registry = obs.get_registry()
         if registry is None:
-            return self._translate(block, instrument_entry, owner_start)
-        with obs.span("dbt.translate", guest=block.start):
-            with registry.histogram(
-                    "dbt_translate_seconds",
-                    help="block translation wall time").time():
-                tb = self._translate(block, instrument_entry,
-                                     owner_start)
+            return tb
         registry.counter("dbt_blocks_translated_total",
                          help="guest blocks translated").inc()
         registry.counter(

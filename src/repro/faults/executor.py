@@ -51,7 +51,6 @@ from dataclasses import dataclass
 from repro import obs
 from repro.isa.program import Program
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import SpanRecorder
 from repro.obs.traceevent import (TraceContext, append_entry,
                                   chunk_entry, trace_sidecar_path)
 from repro.faults import cache as run_cache
@@ -114,10 +113,11 @@ class WorkerResult:
     replay a sample of them in the parent without re-running anything.
 
     ``timings`` (traced campaigns only) carries the chunk's wall-clock
-    span and one ``{"t0", "dur", "outcome"}`` entry per run, plus the
-    worker's pid and the trace id it was handed — the raw material the
-    parent turns into chunk/run spans in the trace sidecar (see
-    :mod:`repro.obs.traceevent`).
+    span and one ``{"t0", "dur", "outcome"[, "spans"]}`` entry per run
+    (``spans``: the :func:`repro.obs.span` regions the run finished),
+    plus the worker's pid and the trace id it was handed — the raw
+    material the parent turns into chunk/run spans in the trace
+    sidecar (see :mod:`repro.obs.traceevent`).
     """
 
     value: object
@@ -151,7 +151,7 @@ def _install_worker_obs(obs_enabled: bool) -> None:
     instead of silently accruing in a dead copy.
     """
     if obs_enabled:
-        obs.install(MetricsRegistry(worker=True), SpanRecorder())
+        obs.install(MetricsRegistry(worker=True))
 
 
 #: The trace context handed to this process's campaign runs, if any.
@@ -202,8 +202,9 @@ def _worker_run_specs(pipeline: Pipeline, specs: list):
     in-process callers (jobs=1 and the degraded serial path) get the
     plain record list — their metrics are already in the parent
     registry.  With a trace context installed, per-run wall-clock
-    timings ride home in ``WorkerResult.timings`` (epoch seconds, so
-    spans from different processes share one clock).
+    timings and the spans each run finished ride home in
+    ``WorkerResult.timings`` (epoch seconds, so spans from different
+    processes share one clock).
     """
     trace = _worker_trace
     timings = None
@@ -212,10 +213,13 @@ def _worker_run_specs(pipeline: Pipeline, specs: list):
         records, runs = [], []
         for spec in specs:
             run_start = time.time()
-            record = _quarantined_run(pipeline, spec)
-            runs.append({"t0": run_start,
-                         "dur": time.time() - run_start,
-                         "outcome": record.outcome.value})
+            with obs.run_spans() as children:
+                record = _quarantined_run(pipeline, spec)
+            run = {"t0": run_start, "dur": time.time() - run_start,
+                   "outcome": record.outcome.value}
+            if children:
+                run["spans"] = children
+            runs.append(run)
             records.append(record)
         timings = {"trace_id": trace.trace_id, "t0": chunk_start,
                    "t1": time.time(), "pid": os.getpid(), "runs": runs}
@@ -247,8 +251,9 @@ class CampaignExecutor:
     have been journaled, so the campaign later resumes via ``resume``.
 
     ``trace`` (a :class:`~repro.obs.traceevent.TraceContext`) turns on
-    cross-process trace correlation: workers time each run, the parent
-    derives deterministic chunk/run span ids under the given context
+    cross-process trace correlation: workers time each run and collect
+    the :func:`repro.obs.span` regions it finishes, the parent derives
+    deterministic chunk/run/child span ids under the given context
     and appends them to the ``<journal>.trace.jsonl`` sidecar (never
     the journal itself — its byte-identity contract stays intact).
     Requires ``journal``; ``repro trace export`` renders the sidecar

@@ -37,6 +37,7 @@ initializer's own message, never an opaque broken-pool error.
 from __future__ import annotations
 
 import logging
+import multiprocessing
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -87,15 +88,26 @@ def _safe_send(conn, message) -> None:
 
 
 def _worker_main(conn, init_fn, init_args, task_fn) -> None:
-    """Worker process body: init once, then serve tasks off the pipe."""
+    """Worker process body: init once, then serve tasks off the pipe.
+
+    The pipe alone cannot tell a worker that its parent died: every
+    forked worker inherits the parent's end of its own pipe (and of the
+    pipes of workers forked before it), so ``recv`` would block
+    forever.  The worker also waits on the parent's sentinel and exits
+    once the parent is gone.
+    """
     try:
         state = init_fn(*init_args) if init_fn is not None else None
     except BaseException as exc:
         _safe_send(conn, ("init_error", f"{type(exc).__name__}: {exc}"))
         return
     _safe_send(conn, ("ready",))
+    parent = multiprocessing.parent_process()
+    watched = [conn] if parent is None else [conn, parent.sentinel]
     while True:
         try:
+            if conn not in connection.wait(watched):
+                return                  # parent died
             message = conn.recv()
         except (EOFError, OSError):
             return

@@ -1,7 +1,7 @@
 """Exporters: Prometheus text, JSONL events, and the stats report.
 
 Every exporter consumes the plain-dict *snapshot* form produced by
-:func:`repro.obs.snapshot` (registry instruments plus span aggregates),
+:func:`repro.obs.snapshot` (spans are its ``span_seconds`` histogram),
 so the same code serves a live registry, a worker drain, and a snapshot
 file loaded back from disk by ``repro stats``.
 
@@ -9,12 +9,11 @@ Formats
 -------
 ``prometheus_text``  the text exposition format (``# TYPE``/``# HELP``
                      headers, cumulative ``_bucket{le=...}`` series)
-``jsonl_text``       one JSON object per metric/span-aggregate line —
-                     the same journal-friendly shape as the PR-2
-                     campaign journal, easy to ``grep``/``jq``
+``jsonl_text``       one JSON object per instrument line — the
+                     campaign journal's shape, easy to ``grep``/``jq``
 ``render_stats``     the human report: counters, gauges, histogram
-                     percentiles (p50/p90/p99) and span timings as
-                     fixed-width tables via ``analysis.report``
+                     percentiles (p50/p90/p99) as fixed-width tables
+                     via ``analysis.report``
 """
 
 from __future__ import annotations
@@ -87,28 +86,17 @@ def prometheus_text(snapshot: dict) -> str:
                      f"{_format_value(entry['sum'])}")
         lines.append(f"{name}_count{_label_suffix(labels)} "
                      f"{entry['count']}")
-    for entry in snapshot.get("spans", ()):
-        header("span_seconds", "summary")
-        labels = {"span": entry["name"]}
-        lines.append(f"span_seconds_sum{_label_suffix(labels)} "
-                     f"{_format_value(entry['total'])}")
-        lines.append(f"span_seconds_count{_label_suffix(labels)} "
-                     f"{entry['count']}")
     return "\n".join(lines) + "\n"
 
 
 def jsonl_text(snapshot: dict) -> str:
-    """One JSON object per line: metrics then span aggregates."""
+    """One JSON object per line, one line per instrument."""
     lines = []
     for kind in ("counters", "gauges", "histograms"):
         for entry in snapshot.get(kind, ()):
             record = {"type": kind[:-1]}
             record.update(entry)
             lines.append(json.dumps(record, sort_keys=True))
-    for entry in snapshot.get("spans", ()):
-        record = {"type": "span"}
-        record.update(entry)
-        lines.append(json.dumps(record, sort_keys=True))
     return "\n".join(lines) + "\n" if lines else ""
 
 
@@ -255,17 +243,6 @@ def render_stats(snapshot: dict) -> str:
     recovery = _recovery_section(snapshot)
     if recovery:
         sections.append(recovery)
-    spans = snapshot.get("spans", [])
-    if spans:
-        rows = []
-        for entry in spans:
-            mean = entry["total"] / entry["count"] if entry["count"] \
-                else 0.0
-            rows.append([entry["name"], entry["count"],
-                         entry["total"], mean, entry["max"]])
-        sections.append(format_table(
-            ["span", "count", "total-s", "mean-s", "max-s"], rows,
-            title="Spans"))
     if not sections:
         return "(no metrics recorded)"
     return "\n\n".join(sections)

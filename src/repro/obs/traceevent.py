@@ -1,18 +1,21 @@
 """Cross-process trace correlation and Chrome trace-event export.
 
-A campaign is three nested layers of work in different processes: the
+A campaign is four nested layers of work in different processes: the
 service job (orchestrator worker thread), the campaign chunks it fans
-out (parent executor), and the individual fault runs (pool worker
-processes).  This module gives each layer a span with a shared
-``trace_id`` and a ``parent_span`` link, and turns the recorded spans
-into Chrome trace-event JSON that loads directly in Perfetto or
-``chrome://tracing``.
+out (parent executor), the individual fault runs (pool worker
+processes), and inside each run the :func:`repro.obs.span` regions it
+finished (``dbt.run``, ``dbt.translate``, ...).  This module gives each
+layer a span with a shared ``trace_id`` and a ``parent_span`` link, and
+turns the recorded spans into Chrome trace-event JSON that loads
+directly in Perfetto or ``chrome://tracing``.
 
 Correlation is **deterministic**: span ids are derived by hashing
 ``trace_id / parent / kind / index``, so a campaign run serially, in
 parallel, or resumed from its journal produces the *same* span ids
 for the same chunks and runs — traces can be diffed across
-executions just like the journals themselves.
+executions just like the journals themselves.  A run's child spans
+are keyed by name and occurrence within the run, so they match
+wherever the runs did the same work.
 
 The raw spans live in a **sidecar** JSONL file next to the campaign
 journal (``<journal>.trace.jsonl``), never in the journal itself: the
@@ -126,8 +129,11 @@ def chunk_entry(ctx: TraceContext, index: int, t0: float, t1: float,
     """One executed chunk plus its per-run child spans.
 
     ``runs`` entries carry ``i`` (global spec index), ``t0`` and
-    ``dur`` seconds; run span ids are derived here so workers never
-    need to know their chunk index.
+    ``dur`` seconds, and optionally the run's own finished spans
+    (``spans``: ``name``/``t0``/``dur``[/``attrs``]).  Run span ids
+    are derived here so workers never need to know their chunk index;
+    a run's k-th span of one name gets the id of kind ``name``, index
+    ``k`` under the run.
     """
     chunk_ctx = ctx.child("chunk", index)
     spans = []
@@ -137,6 +143,15 @@ def chunk_entry(ctx: TraceContext, index: int, t0: float, t1: float,
                 "span_id": run_ctx.span_id}
         if "outcome" in run:
             span["outcome"] = run["outcome"]
+        seen: dict[str, int] = {}
+        children = []
+        for child in run.get("spans", ()):
+            k = seen.get(child["name"], 0)
+            seen[child["name"]] = k + 1
+            children.append({**child, "span_id": run_ctx.child(
+                child["name"], k).span_id})
+        if children:
+            span["spans"] = children
         spans.append(span)
     return {"type": "chunk", "index": index, "t0": t0, "t1": t1,
             "pid": pid, "runs": spans, **chunk_ctx.to_json()}
@@ -149,20 +164,27 @@ def _us(seconds: float) -> int:
     return int(round(seconds * 1e6))
 
 
+def _event(name: str, cat: str, t0: float, dur: float, pid: int,
+           trace_id: str, span_id: str, parent_span: str | None,
+           args: dict) -> dict:
+    """One Chrome ``"X"`` (complete) event on process ``pid``'s track."""
+    return {"name": name, "cat": cat, "ph": "X", "ts": _us(t0),
+            "dur": max(1, _us(dur)), "pid": pid, "tid": 0,
+            "args": {**args, "trace_id": trace_id, "span_id": span_id,
+                     "parent_span": parent_span}}
+
+
 def to_chrome_trace(entries: list[dict]) -> dict:
     """Sidecar entries -> Chrome trace-event JSON (dict form).
 
     Each process gets its own ``pid`` track; the job span sits on the
-    parent process track, each chunk and its runs on the worker
-    process that executed them.  Within a track, spans nest by
+    parent process track, each chunk, its runs and their spans on the
+    worker process that executed them.  Within a track, spans nest by
     ``ts``/``dur`` containment, which holds because a worker runs its
     chunks (and a chunk its runs) sequentially.
     """
     events: list[dict] = []
     pids: dict[int, str] = {}
-
-    def note_pid(pid: int, role: str) -> None:
-        pids.setdefault(pid, role)
 
     # A requeued job (or a resumed CLI campaign) appends a fresh span
     # line per execution attempt under the same deterministic id; the
@@ -171,54 +193,37 @@ def to_chrome_trace(entries: list[dict]) -> dict:
     for order, entry in enumerate(entries):
         key = entry.get("span_id")
         deduped[key if key is not None else ("raw", order)] = entry
-    entries = list(deduped.values())
 
-    for entry in entries:
+    for entry in deduped.values():
+        pid = entry.get("pid", 0)
+        trace_id = entry.get("trace_id")
         if entry.get("type") == "job":
-            pid = entry.get("pid", 0)
-            note_pid(pid, f"campaign {entry.get('name', '?')}")
-            events.append({
-                "name": entry.get("name", "job"),
-                "cat": "job", "ph": "X",
-                "ts": _us(entry["t0"]),
-                "dur": max(1, _us(entry["t1"] - entry["t0"])),
-                "pid": pid, "tid": 0,
-                "args": {
-                    "trace_id": entry["trace_id"],
-                    "span_id": entry["span_id"],
-                    "parent_span": entry.get("parent_span"),
-                    **{key: value for key, value in entry.items()
-                       if key in ("kind", "status", "job")},
-                }})
+            pids.setdefault(pid, f"campaign {entry.get('name', '?')}")
+            events.append(_event(
+                entry.get("name", "job"), "job", entry["t0"],
+                entry["t1"] - entry["t0"], pid, trace_id,
+                entry["span_id"], entry.get("parent_span"),
+                {key: value for key, value in entry.items()
+                 if key in ("kind", "status", "job")}))
         elif entry.get("type") == "chunk":
-            pid = entry.get("pid", 0)
-            note_pid(pid, "campaign worker")
-            events.append({
-                "name": f"chunk {entry['index']}",
-                "cat": "chunk", "ph": "X",
-                "ts": _us(entry["t0"]),
-                "dur": max(1, _us(entry["t1"] - entry["t0"])),
-                "pid": pid, "tid": 0,
-                "args": {
-                    "trace_id": entry["trace_id"],
-                    "span_id": entry["span_id"],
-                    "parent_span": entry.get("parent_span"),
-                    "index": entry["index"],
-                }})
+            pids.setdefault(pid, "campaign worker")
+            events.append(_event(
+                f"chunk {entry['index']}", "chunk", entry["t0"],
+                entry["t1"] - entry["t0"], pid, trace_id,
+                entry["span_id"], entry.get("parent_span"),
+                {"index": entry["index"]}))
             for run in entry.get("runs", ()):
-                args = {"trace_id": entry["trace_id"],
-                        "span_id": run["span_id"],
-                        "parent_span": entry["span_id"],
-                        "index": run["i"]}
+                args = {"index": run["i"]}
                 if "outcome" in run:
                     args["outcome"] = run["outcome"]
-                events.append({
-                    "name": f"run {run['i']}",
-                    "cat": "run", "ph": "X",
-                    "ts": _us(run["t0"]),
-                    "dur": max(1, _us(run["dur"])),
-                    "pid": pid, "tid": 0,
-                    "args": args})
+                events.append(_event(
+                    f"run {run['i']}", "run", run["t0"], run["dur"], pid,
+                    trace_id, run["span_id"], entry["span_id"], args))
+                for child in run.get("spans", ()):
+                    events.append(_event(
+                        child["name"], "span", child["t0"], child["dur"],
+                        pid, trace_id, child["span_id"], run["span_id"],
+                        child.get("attrs", {})))
     # Widen parents over their children: a resumed campaign (or a
     # requeued service job) keeps first-attempt chunk spans in the
     # sidecar while the surviving job line only covers the final

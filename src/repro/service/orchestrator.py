@@ -295,27 +295,28 @@ class Orchestrator:
         except CampaignStopped as exc:
             job.completed = exc.completed
             job.total = exc.total
-            if job.cancelled:
-                job.status = JobStatus.CANCELLED
-            else:
-                job.status = JobStatus.REQUEUED
+            status = (JobStatus.CANCELLED if job.cancelled
+                      else JobStatus.REQUEUED)
         except Exception as exc:
-            job.status = JobStatus.FAILED
+            status = JobStatus.FAILED
             job.error = f"{type(exc).__name__}: {exc}"
             log.warning("job %s failed:\n%s", job.id,
                         traceback.format_exc())
         else:
-            job.status = JobStatus.DONE
+            status = JobStatus.DONE
             job.result = result
         job.finished = time.time()
-        self._append_job_span(job)
+        # The job turns terminal only once its trace span and metrics
+        # are in place: a client that sees the status reads them next.
+        self._append_job_span(job, status)
         self.registry.merge_snapshot(registry.snapshot())
         self.registry.counter(
             "service_jobs_finished_total", help="jobs finished",
-            kind=job.spec.kind, status=job.status.value).inc()
+            kind=job.spec.kind, status=status.value).inc()
         self.registry.histogram(
             "service_job_seconds", help="job wall-clock",
             kind=job.spec.kind).observe(time.monotonic() - started)
+        job.status = status
         job.save()
         job.emit("status", status=job.status.value,
                  error=job.error)
@@ -323,7 +324,7 @@ class Orchestrator:
         with self._cond:
             self._cond.notify_all()
 
-    def _append_job_span(self, job: Job) -> None:
+    def _append_job_span(self, job: Job, status: JobStatus) -> None:
         """Record the job-level span in the workspace trace sidecar.
 
         The job's trace id *is* its job id; inject runners hand the
@@ -336,7 +337,7 @@ class Orchestrator:
             return
         entry = job_entry(TraceContext.root(job.id), job.spec.name,
                           job.started, job.finished,
-                          kind=job.spec.kind, status=job.status.value,
+                          kind=job.spec.kind, status=status.value,
                           job=job.id)
         try:
             append_entry(trace_sidecar_path(job.journal_path), entry)

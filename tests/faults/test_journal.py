@@ -161,6 +161,45 @@ CampaignExecutor(gap, PipelineConfig("dbt", "edgcf"), jobs=2,
 """
 
 
+def _start_and_kill(path: str) -> None:
+    """Run :data:`_KILL_RESUME_SCRIPT` journaling to ``path`` and
+    SIGKILL it once at least one chunk is journaled but several cannot
+    be (each remaining chunk still needs >= 0.4s of sleeping)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = ("src" + os.pathsep + env["PYTHONPATH"]
+                         if env.get("PYTHONPATH") else "src")
+    proc = subprocess.Popen([sys.executable, "-c",
+                             _KILL_RESUME_SCRIPT, path],
+                            cwd=os.path.dirname(os.path.dirname(
+                                os.path.dirname(__file__))),
+                            env=env)
+    deadline = time.monotonic() + 120
+    while time.monotonic() < deadline:
+        if os.path.exists(path) and \
+                len(open(path).readlines()) >= 1:
+            break
+        if proc.poll() is not None:
+            pytest.fail("campaign finished before it was killed")
+        time.sleep(0.02)
+    proc.send_signal(signal.SIGKILL)
+    proc.wait()
+
+
+def _pids_naming(token: str) -> list[int]:
+    """Live processes whose command line contains ``token``."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/cmdline", "rb") as handle:
+                if token.encode() in handle.read():
+                    pids.append(int(entry))
+        except OSError:
+            continue                    # exited meanwhile
+    return pids
+
+
 class TestKillResume:
     def test_sigkill_then_resume_matches_uninterrupted(self, gap,
                                                        clean_specs,
@@ -176,27 +215,7 @@ class TestKillResume:
                 padded.append(SleepSpec(0.4))
             padded.append(spec)
         total_chunks = (len(padded) + 4) // 5
-
-        env = dict(os.environ)
-        env["PYTHONPATH"] = ("src" + os.pathsep + env["PYTHONPATH"]
-                             if env.get("PYTHONPATH") else "src")
-        proc = subprocess.Popen([sys.executable, "-c",
-                                 _KILL_RESUME_SCRIPT, path],
-                                cwd=os.path.dirname(os.path.dirname(
-                                    os.path.dirname(__file__))),
-                                env=env)
-        # Kill once at least one chunk is journaled but several cannot
-        # be (each remaining chunk still needs >= 0.4s of sleeping).
-        deadline = time.monotonic() + 120
-        while time.monotonic() < deadline:
-            if os.path.exists(path) and \
-                    len(open(path).readlines()) >= 1:
-                break
-            if proc.poll() is not None:
-                pytest.fail("campaign finished before it was killed")
-            time.sleep(0.02)
-        proc.send_signal(signal.SIGKILL)
-        proc.wait()
+        _start_and_kill(path)
 
         journaled = len(open(path).readlines())
         assert 1 <= journaled < total_chunks
@@ -208,6 +227,18 @@ class TestKillResume:
                                          chunk_size=5).run_specs(padded)
         assert resumed == uninterrupted
         assert len(open(path).readlines()) == total_chunks
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"),
+                        reason="needs /proc to list processes")
+    def test_sigkill_leaves_no_orphan_workers(self, tmp_path):
+        """Pool workers notice their campaign process is gone: none is
+        alive 5 s after a SIGKILL of a jobs=2 campaign."""
+        path = str(tmp_path / "orphans.jsonl")
+        _start_and_kill(path)
+        deadline = time.monotonic() + 5
+        while _pids_naming(path) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert _pids_naming(path) == []
 
 
 class TestCampaignKey:

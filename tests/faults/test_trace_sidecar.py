@@ -40,6 +40,29 @@ def _span_ids(sidecar):
     return top, runs
 
 
+def _child_ids(sidecar):
+    """run span id -> its child spans' (name, span id), in order."""
+    return {run["span_id"]: [(child["name"], child["span_id"])
+                             for child in run.get("spans", ())]
+            for entry in read_entries(sidecar)
+            for run in entry.get("runs", ())}
+
+
+#: A sidecar as campaigns wrote it before runs carried child spans.
+_OLD_SIDECAR = """\
+{"index": 0, "parent_span": "50e26a3ff10d55b1", "pid": 20879, "runs": [\
+{"dur": 0.005194664001464844, "i": 0, "outcome": "detected_signature", \
+"span_id": "2e6e5b28f0b8c6db", "t0": 1792295746.0296693}, \
+{"dur": 0.0020248889923095703, "i": 1, "outcome": "detected_hardware", \
+"span_id": "f03febdba4003ba3", "t0": 1792295746.034869}], \
+"span_id": "26e2b625b1b74cb7", "t0": 1792295746.0296679, \
+"t1": 1792295746.0368981, "trace_id": "64ac0f1df07614c8", "type": "chunk"}
+{"kind": "inject", "name": "vprog.s", "parent_span": null, "pid": 20879, \
+"span_id": "50e26a3ff10d55b1", "t0": 1792295746.0263193, \
+"t1": 1792295746.0375996, "trace_id": "64ac0f1df07614c8", "type": "job"}
+"""
+
+
 class TestSidecar:
     def test_serial_equals_parallel_span_ids(self, gap, specs,
                                              tmp_path):
@@ -109,3 +132,32 @@ class TestSidecar:
         assert all(e["trace_id"] == trace.trace_id for e in entries)
         trace_dict = to_chrome_trace(entries)
         assert validate_chrome_trace(trace_dict) == []
+
+    def test_run_child_ids_equal_serial_parallel_resumed(self, gap, specs,
+                                                         tmp_path):
+        trace = TraceContext.root("trace-c")
+        serial, _ = _run(gap, specs, tmp_path, jobs=1, trace=trace,
+                         name="cs")
+        parallel, _ = _run(gap, specs, tmp_path, jobs=2, trace=trace,
+                           name="cp")
+        resumed = str(tmp_path / "cr.jsonl")
+        for leg in (specs[:10], specs):
+            CampaignExecutor(gap, PipelineConfig("dbt", "rcf"), jobs=2,
+                             chunk_size=5, journal=resumed,
+                             resume=leg is specs,
+                             trace=trace).run_specs(leg)
+        children = _child_ids(trace_sidecar_path(serial))
+        assert len(children) == len(specs)
+        assert all([name for name, _ in kids].count("dbt.run") == 1
+                   for kids in children.values())
+        assert _child_ids(trace_sidecar_path(parallel)) == children
+        assert _child_ids(trace_sidecar_path(resumed)) == children
+
+    def test_sidecar_without_run_children_still_exports(self, tmp_path):
+        sidecar = tmp_path / "old.jsonl.trace.jsonl"
+        sidecar.write_text(_OLD_SIDECAR)
+        trace_dict = to_chrome_trace(read_entries(str(sidecar)))
+        assert validate_chrome_trace(trace_dict) == []
+        cats = sorted(event["cat"] for event in trace_dict["traceEvents"]
+                      if event["ph"] == "X")
+        assert cats == ["chunk", "job", "run", "run"]

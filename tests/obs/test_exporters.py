@@ -20,10 +20,10 @@ def snapshot():
     histogram.observe(0.001)
     histogram.observe(0.002)
     histogram.observe(1.5)
-    snap = registry.snapshot()
-    snap["spans"] = [{"name": "dbt.run", "count": 2, "total": 0.5,
-                      "max": 0.3}]
-    return snap
+    spans = registry.histogram("span_seconds", span="dbt.run")
+    spans.observe(0.25)
+    spans.observe(0.25)
+    return registry.snapshot()
 
 
 class TestPrometheus:
@@ -63,7 +63,7 @@ class TestJsonl:
         lines = [json.loads(line)
                  for line in jsonl_text(snapshot).splitlines()]
         kinds = {line["type"] for line in lines}
-        assert kinds == {"counter", "gauge", "histogram", "span"}
+        assert kinds == {"counter", "gauge", "histogram"}
         counter = next(line for line in lines
                        if line["type"] == "counter"
                        and line["labels"] == {"outcome": "sdc"})
@@ -79,7 +79,9 @@ class TestRenderStats:
         assert "Counters" in text
         assert "Gauges" in text
         assert "Histograms" in text
-        assert "Spans" in text
+        # spans are rows of the span_seconds histogram, not a section
+        assert "span=dbt.run" in text
+        assert "Spans" not in text
 
     def test_histogram_percentile_columns(self, snapshot):
         text = render_stats(snapshot)

@@ -14,7 +14,6 @@ from repro.exec import install_backend
 from repro.isa import assemble
 from repro.machine import Cpu, run_native
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import SpanRecorder
 
 
 LOOP = """
@@ -35,13 +34,16 @@ loop:
 
 def install():
     registry = MetricsRegistry()
-    recorder = SpanRecorder()
-    obs.install(registry, recorder)
-    return registry, recorder
+    obs.install(registry)
+    return registry
 
 
 def counter_value(registry, name, **labels):
     return registry.counter(name, **labels).value
+
+
+def span_count(registry, name):
+    return registry.histogram("span_seconds", span=name).count
 
 
 class TestHelpersOff:
@@ -50,7 +52,7 @@ class TestHelpersOff:
         assert obs.counter("x") is obs.NULL_COUNTER
         assert obs.gauge("x") is obs.NULL_GAUGE
         assert obs.histogram("x") is obs.NULL_HISTOGRAM
-        assert obs.span("x") is obs.NULL_SPAN
+        assert obs.span("x") is obs.span("y")
         assert obs.snapshot() == {}
         assert obs.drain_worker_snapshot() is None
 
@@ -67,7 +69,7 @@ class TestInterpreter:
         assert cpu.branch_profiler is None
 
     def test_instruction_and_cycle_counters_exact(self):
-        registry, _ = install()
+        registry = install()
         cpu, stop = run_native(assemble(LOOP))
         assert counter_value(
             registry, "interp_instructions_total") == cpu.icount
@@ -75,7 +77,7 @@ class TestInterpreter:
             registry, "interp_cycles_total") == cpu.cycles
 
     def test_branch_mix_recorded(self):
-        registry, _ = install()
+        registry = install()
         run_native(assemble(LOOP))
         taken = counter_value(registry, "interp_branches_total",
                               direction="taken")
@@ -91,7 +93,7 @@ class TestInterpreter:
 
     def test_existing_profiler_not_displaced(self):
         from repro.machine.profile import BranchProfiler
-        registry, _ = install()
+        registry = install()
         profiler = BranchProfiler()
         cpu, _ = run_native(assemble(LOOP), profiler=profiler)
         assert cpu.branch_profiler is profiler
@@ -114,7 +116,7 @@ class TestInterpreter:
         program = assemble(LOOP)
         totals = []
         for attached in (False, True):
-            registry, _ = install()
+            registry = install()
             cpu = Cpu()
             install_backend(cpu, backend)
             cpu.load_program(program)
@@ -132,14 +134,14 @@ class TestInterpreter:
         assert totals == [(9, 1), (9, 1)]
 
     def test_interp_span_recorded(self):
-        _, recorder = install()
+        registry = install()
         run_native(assemble(LOOP))
-        assert recorder.aggregates["interp.run"][0] == 1
+        assert span_count(registry, "interp.run") == 1
 
 
 class TestDbt:
     def test_translation_and_cache_metrics(self):
-        registry, recorder = install()
+        registry = install()
         dbt = Dbt(assemble(LOOP), technique=EdgCF())
         result = dbt.run()
         assert result.ok
@@ -151,13 +153,11 @@ class TestDbt:
         assert counter_value(registry, "dbt_cache_lookup_total",
                              result="hit") >= 1
         assert registry.gauge("dbt_cache_bytes_used").value > 0
-        assert recorder.aggregates["dbt.translate"][0] == translated
-        assert recorder.aggregates["dbt.run"][0] == 1
-        assert registry.histogram(
-            "dbt_translate_seconds").count == translated
+        assert span_count(registry, "dbt.translate") == translated
+        assert span_count(registry, "dbt.run") == 1
 
     def test_signature_checks_executed_counted(self):
-        registry, _ = install()
+        registry = install()
         dbt = Dbt(assemble(LOOP), technique=EdgCF())
         dbt.run()
         # every block body executes its CHECK_SIG each time through
@@ -166,7 +166,7 @@ class TestDbt:
 
     def test_detection_event_counted(self):
         from repro.faults import DbtInjector, FaultSpec, RedirectFault
-        registry, _ = install()
+        registry = install()
         program = assemble(LOOP)
         dbt = Dbt(program, technique=EdgCF())
         # redirect the loop's jl back to main's head: arriving with the
@@ -188,23 +188,21 @@ class TestDbt:
 class TestWorkerProtocol:
     def test_drain_roundtrip_matches_direct_counts(self):
         worker = MetricsRegistry(worker=True)
-        worker_recorder = SpanRecorder()
-        obs.install(worker, worker_recorder)
+        obs.install(worker)
         run_native(assemble(LOOP))
         icount = counter_value(worker, "interp_instructions_total")
         snap = obs.drain_worker_snapshot()
         assert counter_value(worker, "interp_instructions_total") == 0
 
         parent = MetricsRegistry()
-        parent_recorder = SpanRecorder()
-        obs.install(parent, parent_recorder)
+        obs.install(parent)
         obs.merge_snapshot(snap)
         assert counter_value(
             parent, "interp_instructions_total") == icount
-        assert parent_recorder.aggregates["interp.run"][0] == 1
+        assert span_count(parent, "interp.run") == 1
 
     def test_parent_registry_never_drains(self):
-        registry, _ = install()
+        registry = install()
         registry.counter("x").inc()
         assert obs.drain_worker_snapshot() is None
         assert registry.counter("x").value == 1
@@ -212,27 +210,18 @@ class TestWorkerProtocol:
 
 class TestSession:
     def test_session_noop_without_paths(self):
-        with obs.session(None, None):
+        with obs.session(None):
             assert obs.get_registry() is None
 
     def test_session_writes_snapshot(self, tmp_path):
         path = tmp_path / "metrics.json"
-        with obs.session(str(path), None):
+        with obs.session(str(path)):
             obs.counter("events_total").inc(2)
         assert obs.get_registry() is None
         from repro.obs.exporters import load_snapshot
         snap = load_snapshot(str(path))
         assert snap["counters"][0] == {"name": "events_total",
                                        "labels": {}, "value": 2}
-
-    def test_session_trace_sink(self, tmp_path):
-        import json
-        path = tmp_path / "trace.jsonl"
-        with obs.session(None, str(path)):
-            with obs.span("unit.test"):
-                pass
-        lines = path.read_text().splitlines()
-        assert json.loads(lines[0])["name"] == "unit.test"
 
 
 class TestCampaignExactMatch:
@@ -253,7 +242,7 @@ class TestCampaignExactMatch:
 
         def run(jobs):
             clear_caches()
-            registry, recorder = install()
+            install()
             records = CampaignExecutor(program, config,
                                        jobs=jobs).run_specs(specs)
             snap = obs.snapshot()
@@ -286,7 +275,7 @@ class TestCampaignExactMatch:
 
     def test_parallel_map_merges_worker_metrics(self):
         from repro.faults import parallel_map
-        registry, _ = install()
+        registry = install()
         results = parallel_map(_observed_square, [1, 2, 3, 4], jobs=2)
         assert results == [1, 4, 9, 16]
         assert counter_value(registry, "map_calls_total") == 4

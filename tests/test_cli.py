@@ -76,8 +76,8 @@ class TestObservability:
         assert main(["stats", metrics]) == 0
         out = capsys.readouterr().out
         assert "interp_instructions_total" in out
-        assert "dbt_translate_seconds" in out
-        assert "dbt.run" in out
+        assert "span_seconds" in out
+        assert "span=dbt.run" in out and "span=dbt.translate" in out
 
     def test_run_prom_export(self, demo_file, tmp_path, capsys):
         metrics = str(tmp_path / "metrics.prom")
@@ -86,14 +86,47 @@ class TestObservability:
         text = open(metrics).read()
         assert "# TYPE interp_instructions_total counter" in text
 
-    def test_trace_flag_streams_spans(self, demo_file, tmp_path):
-        import json
-        trace = str(tmp_path / "trace.jsonl")
-        assert main(["run", demo_file, "-t", "rcf",
-                     "--trace", trace]) == 0
-        names = {json.loads(line)["name"]
-                 for line in open(trace)}
-        assert "dbt.run" in names and "dbt.translate" in names
+    def test_trace_export_nests_run_spans(self, demo_file, tmp_path):
+        """Run spans reach the one trace: ``inject --jobs 2 --journal``
+        then ``trace export`` gives job -> chunk -> run -> dbt.run, with
+        the span ids of the jobs=1 campaign."""
+        ids = []
+        for jobs in ("1", "2"):
+            journal = str(tmp_path / f"j{jobs}.jsonl")
+            out = str(tmp_path / f"t{jobs}.json")
+            main(["inject", demo_file, "-t", "rcf", "--branch", "loop+12",
+                  "--fault", "direction", "--fault", "offset:2",
+                  "--jobs", jobs, "--journal", journal])
+            assert main(["trace", "export", "--journal", journal,
+                         "-o", out]) == 0
+            events = [event for event in json.load(open(out))[
+                "traceEvents"] if event["ph"] == "X"]
+            by_id = {event["args"]["span_id"]: event for event in events}
+
+            def chain(event):
+                names = [event["cat"]]
+                while event["args"]["parent_span"] in by_id:
+                    event = by_id[event["args"]["parent_span"]]
+                    names.append(event["cat"])
+                return names
+
+            runs = [event for event in events
+                    if event["name"] == "dbt.run"]
+            assert len(runs) == 2
+            assert all(chain(event) == ["span", "run", "chunk", "job"]
+                       for event in runs)
+            ids.append(sorted(by_id))
+        assert ids[0] == ids[1]
+
+    def test_no_subcommand_accepts_trace_flag(self):
+        import argparse
+        from repro.cli import build_parser
+        commands = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)).choices
+        assert "--metrics" in commands["fuzz"]._option_string_actions
+        for name, command in commands.items():
+            assert "--trace" not in command._option_string_actions, name
 
     def test_coverage_parallel_metrics_merge(self, demo_file, tmp_path,
                                              capsys):
